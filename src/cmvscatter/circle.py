@@ -199,11 +199,6 @@ class DiskFunction:
             spec[-m] = self.coef[1:]
         return CircleFunction(grid, np.fft.ifft(spec) * n)
 
-    def reflected(self):
-        """conj(f(1/conj(z))): swaps interior and exterior, conjugating coefficients."""
-        kind = "exterior" if self.kind == "interior" else "interior"
-        return DiskFunction(np.conj(self.coef), kind)
-
 
 def disk_from_boundary(samples, grid, kind="interior", max_len=None, tail_tol=1e-6):
     """One-sided coefficients of boundary samples known to be analytic.
@@ -275,13 +270,6 @@ def herglotz_from_density(w, grid=None):
     coef[0] = c[0].real
     coef[1:] = 2.0 * c[1:half]
     return DiskFunction(coef, "interior")
-
-
-def unimodular_phase(logw_samples, grid, a_minus1=1.0):
-    """exp(i * conj(logw)) scaled by -a_minus1: exactly unimodular samples."""
-    u = CircleFunction(grid, logw_samples)
-    tilde = conjugate_function(u)
-    return -a_minus1 * np.exp(1j * tilde.samples.real)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
         data = forward_scatter(seq, grid)
         s = data.s
         rep = regularity_test(s=s, d0=data.d0, M=M)
-        regular = rep.regular
+        regular, sigma = rep.regular, rep.sigma_max
         coeffs = np.asarray(seq.a)
         w_full = data.w
         w_half = spectral_density(seq, half_grid)
@@ -211,8 +211,8 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
             w_full = CircleFunction.constant(grid, 1.0)
             w_half = CircleFunction.constant(half_grid, 1.0)
             a_minus1 = -1.0
+        sigma = hankel_from_symbol(s, M).sigma_max()
 
-    sigma = hankel_from_symbol(s, M).sigma_max()
     index = winding_index(s, r=r)
     besov, besov_growth = _windowed_besov(s)
     szego_sum, szego_growth = _windowed_coeff_sum(coeffs, weight_by_index=False)

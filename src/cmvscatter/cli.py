@@ -186,8 +186,9 @@ def cmd_classify(args):
 def cmd_glm(args):
     seq = _load_seq(args.input)
     grid = CircleGrid(args.grid)
-    glm = glm_matrix(seq, args.order, args.trunc, grid=grid)
-    residual = glm_factorization_residual(seq, args.order, args.trunc, grid=grid)
+    data = forward_scatter(seq, grid)
+    glm = glm_matrix(data, args.order, args.trunc)
+    residual = glm_factorization_residual(data, args.order, args.trunc, glm=glm)
     cfg = _config_dict(args, command="glm", input=str(args.input))
     prefix = _out_prefix(args, "glm")
     _write_json(prefix.with_suffix(".glm.json"), {

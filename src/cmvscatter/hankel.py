@@ -4,9 +4,10 @@ and the regularity test that decides the one-to-one regime.
 
 Matrix convention: H[k, j] = shat(-(k+j+1)) for the bases {t^j} of the
 analytic half and {t^(-(k+1))} of the co-analytic half, so H depends only
-on the negative Fourier coefficients of the symbol.  Multiplying the symbol
-by t shifts the entries by one anti-diagonal, which the inverse map exploits
-by slicing one master coefficient array.
+on the negative Fourier coefficients of the symbol and is complex symmetric.
+Multiplying the symbol by t^n shifts the entries by n anti-diagonals, so one
+reversed Cholesky factor of a wide master (ShiftFactor) serves every shifted
+solve of the inverse map.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .circle import CircleFunction, DiskFunction, default_grid, disk_from_boundary
-from .errors import NearSingularError, NumericalError
+from .errors import NearSingularError, NumericalError, RegularityError
 
 
 @dataclass
@@ -84,8 +85,10 @@ def hankel_from_symbol(s, M, max_shift=0):
 def solve_block(h, rhs="unit_H2", r=1.0):
     """(I - r^2 H*H)^{-1} 1  or  (I - r^2 H H*)^{-1} t-bar by Cholesky.
 
-    At r=1 the gap 1 - sigma_max must exceed 1e-10, otherwise the solve is
-    refused with the measured sigma_max attached.
+    H is complex symmetric, so I - r^2 HH* = conj(I - r^2 H*H) and the
+    co-analytic solve is the conjugate of the analytic one.  At r=1 the gap
+    1 - sigma_max must exceed 1e-10, otherwise the solve is refused with the
+    measured sigma_max attached.
     """
     if rhs not in ("unit_H2", "unit_H2minus"):
         raise ValueError(f"unknown rhs selector {rhs!r}")
@@ -97,8 +100,7 @@ def solve_block(h, rhs="unit_H2", r=1.0):
             f"sigma_max = {sigma:.12g}; the r=1 solve needs sigma_max < 1 - 1e-10",
             sigma_max=sigma)
     m = h.mat
-    gram = m.conj().T @ m if rhs == "unit_H2" else m @ m.conj().T
-    system = np.eye(h.order) - (r * r) * gram
+    system = np.eye(h.order) - (r * r) * (m.conj().T @ m)
     e0 = np.zeros(h.order, dtype=np.complex128)
     e0[0] = 1.0
     cho = scipy.linalg.cho_factor(system, lower=True)
@@ -108,7 +110,57 @@ def solve_block(h, rhs="unit_H2", r=1.0):
     if resid > 1e-10 * cond_est:
         raise NumericalError(
             f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
-    return x
+    return x if rhs == "unit_H2" else np.conj(x)
+
+
+def reversed_cholesky(a):
+    """Upper-triangular R with a = R R*, so trailing blocks of R factor those
+    of a; raises NumericalError when a is not positive definite."""
+    try:
+        return scipy.linalg.cholesky(a[::-1, ::-1], lower=True)[::-1, ::-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"reversed Cholesky factorization failed: {exc}") from exc
+
+
+@dataclass
+class ShiftFactor:
+    """A = I - W*W = R R* for the master W[k, j] = neg[k + j] (M x M').
+    The n-shifted operator is W_n = W[:, n:], its Gram A_n = A[n:, n:] is
+    factored by R[n:, n:], and L = R^{-*} is the GLM/L factor."""
+
+    w: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
+    sigma_max: float
+
+    def solve(self, n, y):
+        """A_n^{-1} y by two triangular solves with R[n:, n:]."""
+        rn = self.r[n:, n:]
+        x = scipy.linalg.solve_triangular(rn, scipy.linalg.solve_triangular(rn, y), trans="C")
+        resid = float(np.linalg.norm(x - self.w[:, n:].conj().T @ (self.w[:, n:] @ x) - y))
+        if resid > 1e-10 * max(np.linalg.norm(y), 1.0) / (1.0 - self.sigma_max ** 2):
+            raise NumericalError(
+                f"shift-{n} solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
+        return x
+
+    def u(self, n):
+        """u_n = A_n^{-1} e0; the first solve is exactly e0 / R[n, n], so
+        u_n[0] = 1 / R[n, n]^2."""
+        return self.solve(n, np.eye(len(self.r) - n, 1, dtype=np.complex128)[:, 0])
+
+
+def shift_factor(s, M, max_shift):
+    """ShiftFactor of the order-M master with M' = M + max_shift columns.
+
+    Every shifted truncation is a submatrix of W, so one norm gates them all:
+    1 - sigma_max(W) <= 1e-8 raises RegularityError.
+    """
+    neg = hankel_from_symbol(s, M, max_shift=max_shift).neg
+    w = neg[np.add.outer(np.arange(M), np.arange(M + max_shift))]
+    sigma = float(scipy.linalg.svdvals(w)[0])
+    if 1.0 - sigma <= 1e-8:
+        raise RegularityError(
+            f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")
+    return ShiftFactor(w, reversed_cholesky(np.eye(M + max_shift) - w.conj().T @ w), sigma)
 
 
 def _taylor_on_grid(vec, grid):
@@ -118,17 +170,17 @@ def _taylor_on_grid(vec, grid):
     return np.fft.ifft(spec) * grid.size
 
 
-def psi_h(h, grid=None):
-    """(psi_H(0), psi_H) from the analytic-half solve vector.
+def psi_h(h, grid=None, g=None):
+    """(psi_H(0), psi_H) from the analytic-half solve vector g.
 
     psi_H(z) = 1 / (psi_H(0) g(z)) with g the solve vector's Taylor series;
     |g| >= 1 on the closed disk in the regular regime, so the reciprocal is
     well conditioned.  Outer-ness is audited via the log-mean identity.
+    A caller that already solved for g passes it in.
     """
     grid = grid or default_grid()
-    g = solve_block(h, "unit_H2")
-    g0 = g[0].real
-    psi0 = 1.0 / np.sqrt(g0)
+    g = solve_block(h, "unit_H2") if g is None else g
+    psi0 = 1.0 / np.sqrt(g[0].real)
     g_t = _taylor_on_grid(g, grid)
     psi_t = 1.0 / (psi0 * g_t)
     psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
@@ -139,16 +191,14 @@ def psi_h(h, grid=None):
     return float(psi0), psi
 
 
-def phi_h(h, grid=None):
+def phi_h(h, grid=None, g=None):
     """phi_H(z) = z (-H* h)(z)/g(z): the Schur function of the symbol's
-    negative coefficients, with phi_H(0) = 0."""
+    negative coefficients, with phi_H(0) = 0.  The co-analytic solve is
+    h = conj(g) because H is complex symmetric."""
     grid = grid or default_grid()
-    g = solve_block(h, "unit_H2")
-    hbar = solve_block(h, "unit_H2minus")
-    q = -h.mat.conj().T @ hbar
-    q_t = _taylor_on_grid(q, grid)
-    g_t = _taylor_on_grid(g, grid)
-    phi_t = grid.nodes * q_t / g_t
+    g = solve_block(h, "unit_H2") if g is None else g
+    q = -h.mat.conj().T @ np.conj(g)
+    phi_t = grid.nodes * _taylor_on_grid(q, grid) / _taylor_on_grid(g, grid)
     phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
     coef = np.array(phi.coef)
     coef[0] = 0.0
@@ -162,7 +212,7 @@ def phi_h(h, grid=None):
 @dataclass
 class AakData:
     """Bundle of the point-evaluation solves: g = (I-H*H)^{-1} 1,
-    h = (I-HH*)^{-1} t-bar, and the functions they generate."""
+    h = (I-HH*)^{-1} t-bar = conj(g), and the functions they generate."""
 
     g: np.ndarray
     h: np.ndarray
@@ -174,10 +224,8 @@ class AakData:
 def aak_data(h, grid=None):
     grid = grid or default_grid()
     g = solve_block(h, "unit_H2")
-    hbar = solve_block(h, "unit_H2minus")
-    psi0, psi = psi_h(h, grid)
-    phi = phi_h(h, grid)
-    return AakData(g=g, h=hbar, psi0=psi0, phi=phi, psi=psi)
+    psi0, psi = psi_h(h, grid, g)
+    return AakData(g=g, h=np.conj(g), psi0=psi0, phi=phi_h(h, grid, g), psi=psi)
 
 
 def aak_limit_sweep(h, radii=(0.9, 0.99, 0.999), blowup=1e6):

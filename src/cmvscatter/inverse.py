@@ -1,11 +1,12 @@
 """Inverse scattering: coefficients back from the scattering function.
 
-The per-order data all comes from one master Hankel matrix: multiplying the
-symbol by t^n is an exact index shift, and each shifted operator yields two
-dense solves.  The kernel ratio at the origin returns the twisted
-coefficient b_n = -conj(a_{-1}) a_n; the unimodular a_{-1} itself is not
-visible to the Hankel operator (it only sees negative coefficients), so it
-is read off the full scattering samples by the pointwise identity
+The per-order data all comes from one factorization (hankel.ShiftFactor):
+the t^n-shifted Gram is a trailing block of A = I - W*W = R R*, so each
+shift costs one or two triangular solves.  R's diagonal gives the rho
+ladder, and the kernel ratio at the origin the twisted coefficient
+b_n = -conj(a_{-1}) a_n; the unimodular a_{-1} itself is not visible to
+the Hankel operator (it only sees negative coefficients), so it is read off
+the full scattering samples by the pointwise identity
 
     a_{-1} = -(s conj(psi) + psi conj(phi)) / (s phi conj(psi) + psi),
 
@@ -23,7 +24,7 @@ import scipy.linalg
 
 from .circle import CircleFunction, outer_boundary_samples
 from .errors import NumericalError, RegularityError
-from .hankel import hankel_from_symbol, regularity_test, solve_block
+from .hankel import hankel_from_symbol, regularity_test, shift_factor
 from .opuc import VerblunskySeq, schur_function
 from .scatter import ScatteringData, forward_scatter
 
@@ -68,28 +69,20 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
 
     Raises RegularityError when the Hankel truncation is too close to a
     contraction bound of 1 (outside the one-to-one regime); lesser defects
-    are reported in the warnings list instead.
+    are reported in the warnings list instead.  The n-shifted truncation is
+    M x (M + n_max + 2 - n), and sigma_max is the norm of the widest one.
     """
     if M < n_max + 64:
         raise ValueError(f"Hankel order {M} too small for n_max {n_max}; need >= {n_max + 64}")
     grid = s.grid
-    master = hankel_from_symbol(s, M, max_shift=n_max + 2)
-    sigma = master.sigma_max()
-    if 1.0 - sigma <= 1e-8:
-        raise RegularityError(
-            f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")
-
+    factor = shift_factor(s, M, n_max + 2)
     warnings = []
-    l_diag = np.empty(n_max + 2)
-    b = np.empty(n_max + 1, dtype=np.complex128)
-    for n in range(n_max + 2):
-        h_n = master.shifted(n)
-        u = solve_block(h_n, "unit_H2")
-        l_diag[n] = np.sqrt(u[0].real)
-        if n <= n_max:
-            v = solve_block(h_n, "unit_H2minus")
-            b[n] = -(h_n.mat.conj().T @ v)[0] / u[0]
-    rho = l_diag[1:] / l_diag[:-1]
+    d = np.diag(factor.r).real             # R[n, n] = u_n[0]^(-1/2)
+    rho = d[: n_max + 1] / d[1: n_max + 2]
+    # b_n = -(H_n* (I - H_n H_n*)^{-1} e0)[0] / u_n[0], read off u_n because
+    # H*(I - HH*)^{-1} = (I - H*H)^{-1} H* for any truncation shape
+    u = [factor.u(n) for n in range(n_max + 1)]
+    b = np.array([-np.conj(x @ factor.w[0, n:]) / x[0] for n, x in enumerate(u)])
 
     if np.any(np.abs(b) >= 1.0 - 1e-12):
         raise NumericalError(
@@ -111,7 +104,6 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
 
     # polish a_minus1 with the forward Szego function of the recovered sequence
     a_minus1_std = float("inf")
-    data = None
     for _ in range(4):
         a = -lam * b
         if np.any(np.abs(a) >= 1.0 - 1e-12):
@@ -122,15 +114,12 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
         d_t = data.D.boundary(grid).samples
         vals = -s.samples[keep] * np.conj(d_t[keep]) / d_t[keep]
         mean = np.mean(vals)
-        if abs(mean) < 1e-6:
-            a_minus1_std = float(np.std(vals))
-            break
-        lam_new = mean / abs(mean)
         a_minus1_std = float(np.std(vals))
-        if abs(lam_new - lam) < 1e-12:
-            lam = lam_new
+        if abs(mean) < 1e-6:
             break
-        lam = lam_new
+        lam, lam_old = mean / abs(mean), lam
+        if abs(lam - lam_old) < 1e-12:
+            break
     if a_minus1_std > 1e-4:
         warnings.append(
             f"a_minus1 quotient not constant on the grid (std {a_minus1_std:.3e}); "
@@ -141,14 +130,14 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     data = forward_scatter(seq, grid)
     keep = _kept_nodes(data)
     residual = float(np.max(np.abs(data.s.samples[keep] - s.samples[keep])))
-    consistency = np.abs(np.abs(a) ** 2 + rho[: n_max + 1] ** 2 - 1.0)
+    consistency = np.abs(np.abs(a) ** 2 + rho ** 2 - 1.0)
     if np.max(consistency) > 1e-4:
         warnings.append(
             f"coefficient/rho consistency gap {np.max(consistency):.3e} exceeds 1e-4")
-    regular = (1.0 - sigma > 1e-8) and residual <= residual_tol
+    regular = residual <= residual_tol
     return RecoveryReport(
-        a=a, rho=rho[: n_max + 1], a_minus1=complex(lam), residual=residual,
-        consistency=consistency, sigma_max=sigma, regular=regular,
+        a=a, rho=rho, a_minus1=complex(lam), residual=residual,
+        consistency=consistency, sigma_max=factor.sigma_max, regular=regular,
         a_minus1_std=a_minus1_std, warnings=warnings,
     )
 
@@ -183,61 +172,45 @@ def _as_scattering(source, grid=None):
 def glm_matrix(source, m, M, grid=None, check_regular=True):
     """Columns of the GLM transform in the alternating monomial basis.
 
-    Column 2k comes from the analytic-half solve of the 2k-shifted symbol,
-    column 2k+1 from the co-analytic half with the -a_{-1} phase; the
-    diagonal is rho_0...rho_{n-1}/D(0) up to that phase.
+    Column n comes from the shared factor's n-shift: rows n, n+2, ... hold
+    u = A_n^{-1} e0 (even n) or v = e0 - W_n q (odd n), rows n+1, n+3, ...
+    hold -W_n u or q = -A_n^{-1} conj(W[0, n:]); odd columns carry the
+    -a_{-1} phase.  The diagonal is rho_0...rho_{n-1}/D(0) up to that phase.
     """
     data = _as_scattering(source, grid)
     if check_regular:
         rep = regularity_test(s=data.s, d0=data.d0, M=M)
         if not rep.regular:
             raise RegularityError(f"GLM transform needs the regular regime: {rep.reason}")
-    master = hankel_from_symbol(data.s, M, max_shift=m)
+    factor = shift_factor(data.s, M, m)
     out = np.zeros((m, m), dtype=np.complex128)
-    for col in range(m):
-        h_n = master.shifted(col)
-        if col % 2 == 0:
-            k = col // 2
-            u = solve_block(h_n, "unit_H2")
-            norm = np.sqrt(u[0].real)
-            first = u / norm                     # coefficient j -> row 2(k+j)
-            second = -(h_n.mat @ u) / norm       # coefficient l -> row 2(k+l)+1
-            for j, val in enumerate(first):
-                r = 2 * (k + j)
-                if r < m:
-                    out[r, col] = val
-            for l, val in enumerate(second):
-                r = 2 * (k + l) + 1
-                if r < m:
-                    out[r, col] = val
+    for n in range(m):
+        if n % 2 == 0:
+            first = factor.u(n)
+            second = -(factor.w[:, n:] @ first)
+            scale = 1.0 / np.sqrt(first[0].real)
         else:
-            k = (col - 1) // 2
-            v = solve_block(h_n, "unit_H2minus")
-            q = -(h_n.mat.conj().T @ v)
-            norm = np.sqrt(v[0].real)
-            phase = -data.a_minus1
-            for j, val in enumerate(q):
-                r = 2 * (k + 1 + j)
-                if r < m:
-                    out[r, col] = phase * val / norm
-            for l, val in enumerate(v):
-                r = 2 * (k + l) + 1
-                if r < m:
-                    out[r, col] = phase * val / norm
+            second = -factor.solve(n, np.conj(factor.w[0, n:]))
+            first = -(factor.w[:, n:] @ second)
+            first[0] += 1.0
+            scale = -data.a_minus1 / np.sqrt(first[0].real)
+        out[n::2, n] = scale * first[: (m - n + 1) // 2]
+        out[n + 1::2, n] = scale * second[: (m - n) // 2]
     return GlmMatrix(m, out)
 
 
-def glm_factorization_residual(source, m, M, grid=None):
-    """Relative Frobenius gap between the reordered block-inverse and GLM * GLM^*."""
+def glm_factorization_residual(source, m, M, grid=None, glm=None):
+    """Relative Frobenius gap between the reordered block-inverse and GLM * GLM^*.
+
+    The reference side is a dense inverse of the square order-M block
+    operator, independent of the shared factor; pass `glm` to reuse a GLM
+    matrix already built from the same source.
+    """
     data = _as_scattering(source, grid)
-    glm = glm_matrix(data, m, M)
+    if glm is None:
+        glm = glm_matrix(data, m, M)
     h = hankel_from_symbol(data.s, M).mat
-    big = np.zeros((2 * M, 2 * M), dtype=np.complex128)
-    big[:M, :M] = np.eye(M)
-    big[M:, M:] = np.eye(M)
-    big[:M, M:] = h.conj().T
-    big[M:, :M] = h
-    binv = np.linalg.inv(big)
+    binv = np.linalg.inv(np.block([[np.eye(M), h.conj().T], [h, np.eye(M)]]))
     idx = np.array([r // 2 if r % 2 == 0 else M + r // 2 for r in range(m)])
     lhs = binv[np.ix_(idx, idx)]
     rhs = glm.mat @ glm.mat.conj().T
@@ -245,28 +218,18 @@ def glm_factorization_residual(source, m, M, grid=None):
 
 
 def l_matrix(source, m, M, grid=None):
-    """Analytic-half triangular factor: L^n_n = sqrt(<(I-H*H)^{-1} 1, 1>) of
-    the n-shifted symbol, with (I-H*H)^{-1} = L L^* on the leading block.
+    """Leading m x m block of L = R^{-*}, with A = I - W*W = R R* and so
+    A^{-1} = L L^*; column n is u_n / sqrt(u_n[0]), L^n_n = sqrt(<A_n^{-1} 1, 1>).
 
     Accepts a sequence, ScatteringData, or a sampled s directly (a_{-1} is
-    not involved).  Returns (L, residual of the factorization identity).
+    not involved).  Returns (L, residual of L L^* against a dense solve of A).
     """
-    if isinstance(source, CircleFunction):
-        s = source
-    else:
-        s = _as_scattering(source, grid).s
-    master = hankel_from_symbol(s, M, max_shift=m)
-    out = np.zeros((m, m), dtype=np.complex128)
-    for n in range(m):
-        u = solve_block(master.shifted(n), "unit_H2")
-        norm = np.sqrt(u[0].real)
-        top = min(m - n, len(u))
-        out[n: n + top, n] = u[:top] / norm
-    h = master.mat
-    system = np.eye(M) - h.conj().T @ h
-    cho = scipy.linalg.cho_factor(system, lower=True)
-    inv = scipy.linalg.cho_solve(cho, np.eye(M, dtype=np.complex128))
-    lead = inv[:m, :m]
+    s = source if isinstance(source, CircleFunction) else _as_scattering(source, grid).s
+    factor = shift_factor(s, M, m)
+    # the leading block of R^{-1} is the inverse of R's leading block
+    out = scipy.linalg.solve_triangular(factor.r[:m, :m], np.eye(m)).conj().T
+    a = np.eye(len(factor.r)) - factor.w.conj().T @ factor.w
+    lead = np.linalg.solve(a, np.eye(len(a))[:, :m])[:m]
     rhs = out @ out.conj().T
     residual = float(np.linalg.norm(lead - rhs) / np.linalg.norm(rhs))
     return out, residual

@@ -159,3 +159,18 @@ def test_config_validation(a05_json, tmp_path):
     code = main(["inverse", "--input", a05_json, "--out", str(tmp_path / "x"),
                  "--grid", "1024", "--trunc", "512"])
     assert code == 2
+
+
+def test_inverse_trunc_beyond_coefficient_window(a05_json, tmp_path, capsys):
+    # --trunc 1024 passes the grid/4 check at N = 4096, but the shifted
+    # master needs 2M - 1 + n_max + 2 negative coefficients and the grid
+    # resolves only N/2 - 1 of them
+    out = tmp_path / "a05"
+    main(["forward", "--input", a05_json, "--out", str(out), "--grid", "4096"])
+    capsys.readouterr()
+    code = main(["inverse", "--input", str(out.with_suffix(".s.csv")),
+                 "--out", str(tmp_path / "rec"), "--grid", "4096", "--trunc", "1024"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "resolves 2047 negative coefficients" in err
+    assert "order 1024 with shift 14 needs 2061" in err

@@ -245,3 +245,62 @@ def test_regularity_monomial_detects_nonuniqueness(grid):
     assert abs(rep.lhs - 1.0) < 1e-12
     assert abs(rep.rhs - 6.0) < 1e-12
     assert abs(rep.rhs / rep.lhs - 6.0) < 1e-10
+
+
+def test_shift_factor_matches_dense_solves(grid4096):
+    # complex coefficients and a random unimodular a_minus1: every shifted
+    # quantity read off the one factor matches explicit dense solves of the
+    # trailing Gram block and of I - W_n W_n*
+    from cmvscatter import recover_verblunsky
+    from cmvscatter.hankel import shift_factor
+
+    rng = np.random.default_rng(31)
+    seq = random_complex_seq(rng, 5)
+    s = _symbol(grid4096, seq)
+    m, n_max = 128, 8
+    factor = shift_factor(s, m, n_max + 2)
+    neg = hankel_from_symbol(s, m, max_shift=n_max + 2).neg
+    w = np.array([[neg[k + j] for j in range(m + n_max + 2)] for k in range(m)])
+    assert np.array_equal(factor.w, w)
+    a = np.eye(w.shape[1]) - w.conj().T @ w
+    u = []
+    for n in range(n_max + 2):
+        e0 = np.zeros(w.shape[1] - n, dtype=complex)
+        e0[0] = 1.0
+        u.append(np.linalg.solve(a[n:, n:], e0))
+        assert np.max(np.abs(factor.u(n) - u[-1])) < 1e-12
+        assert abs(u[-1][0] - 1.0 / factor.r[n, n] ** 2) < 1e-12
+    rep = recover_verblunsky(s, n_max=n_max, M=m)
+    rho = [np.sqrt(u[n + 1][0].real / u[n][0].real) for n in range(n_max + 1)]
+    assert np.max(np.abs(rep.rho - rho)) < 1e-12
+    for n in range(n_max + 1):
+        wn = w[:, n:]
+        e0 = np.zeros(m, dtype=complex)
+        e0[0] = 1.0
+        v = np.linalg.solve(np.eye(m) - wn @ wn.conj().T, e0)
+        b = -(wn.conj().T @ v)[0] / u[n][0]
+        assert abs(-np.conj(rep.a_minus1) * rep.a[n] - b) < 1e-12
+    assert abs(rep.a_minus1 - seq.a_minus1) < 1e-6
+
+
+def test_shift_factor_gates_on_the_master_norm(grid4096):
+    from cmvscatter import RegularityError
+    from cmvscatter.hankel import shift_factor
+
+    s = CircleFunction(grid4096, 1.0 / grid4096.nodes)  # shat(-1) = 1
+    with pytest.raises(RegularityError, match="one-to-one"):
+        shift_factor(s, 64, 4)
+
+
+def test_reversed_cholesky():
+    from cmvscatter import NumericalError
+    from cmvscatter.hankel import reversed_cholesky
+
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    a = x @ x.conj().T + np.eye(6)
+    r = reversed_cholesky(a)
+    assert np.array_equal(r, np.triu(r))
+    assert np.max(np.abs(r @ r.conj().T - a)) < 1e-12
+    with pytest.raises(NumericalError, match="Cholesky"):
+        reversed_cholesky(np.diag([1.0, -1.0, 2.0]).astype(complex))

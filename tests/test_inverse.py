@@ -203,3 +203,30 @@ def test_l_matrix_diag_is_rho_tail_product(grid):
         tail = float(np.prod(rho[n:])) if n < len(rho) else 1.0
         assert abs(diag[n] - 1.0 / tail) < 1e-6
     assert residual < 1e-5
+
+
+def test_l_matrix_factors_the_master_inverse(grid4096):
+    # L is the leading block of R^{-*}, so L L* equals the leading block of
+    # A^{-1} for the wide master A = I - W*W exactly, not just to the
+    # truncation error
+    from cmvscatter.hankel import shift_factor
+
+    rng = np.random.default_rng(33)
+    seq = random_complex_seq(rng, 4)
+    s = forward_scatter(seq, grid4096).s
+    m, M = 8, 128
+    mat, residual = l_matrix(s, m, M)
+    w = shift_factor(s, M, m).w
+    inv = np.linalg.inv(np.eye(M + m) - w.conj().T @ w)
+    assert np.array_equal(mat, np.tril(mat))
+    assert np.max(np.abs(mat @ mat.conj().T - inv[:m, :m])) < 1e-12
+    assert residual < 1e-12
+
+
+def test_glm_residual_reuses_a_built_matrix(grid):
+    seq = VerblunskySeq(a_minus1=np.exp(0.3j), a=(0.4 - 0.2j, 0.25j))
+    data = forward_scatter(seq, grid)
+    glm = glm_matrix(data, 8, 128)
+    reused = glm_factorization_residual(data, 8, 128, glm=glm)
+    assert abs(reused - glm_factorization_residual(data, 8, 128)) < 1e-15
+    assert reused < 1e-12
