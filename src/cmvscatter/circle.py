@@ -298,7 +298,9 @@ def write_circle_csv(path, f, config=None):
 def read_circle_csv(path):
     """Read a CircleFunction written by write_circle_csv.
 
-    Returns (function, config dict); unknown grid sizes raise ValueError.
+    Returns (function, config dict); unknown grid sizes, an index column
+    that does not list 0..N-1 exactly once, and thetas off their grid nodes
+    by more than 1e-12 raise ValueError.
     """
     config = {}
     rows = []
@@ -320,8 +322,18 @@ def read_circle_csv(path):
     n = len(rows)
     if not _is_power_of_two(n) or n < 16:
         raise ValueError(f"CSV has {n} rows; expected a power of two >= 16")
+    if any(len(row) != 4 for row in rows):
+        raise ValueError("CSV rows must have the four fields index,theta,re,im")
+    vals = np.array(rows, dtype=float)
+    if not np.array_equal(np.sort(vals[:, 0]), np.arange(n)):
+        raise ValueError(f"CSV index column must list 0..{n - 1} exactly once")
+    idx = vals[:, 0].astype(np.int64)
+    grid = CircleGrid(n)
+    theta_err = float(np.max(np.abs(vals[:, 1] - grid.thetas[idx])))
+    if not theta_err <= 1e-12:
+        raise ValueError(f"CSV theta is off its grid node by {theta_err:.3e}")
+    if not np.all(np.isfinite(vals[:, 2:])):
+        raise ValueError("CSV samples must be finite")
     samples = np.empty(n, dtype=np.complex128)
-    for row in rows:
-        j = int(row[0])
-        samples[j] = float(row[2]) + 1j * float(row[3])
-    return CircleFunction(CircleGrid(n), samples), config
+    samples[idx] = vals[:, 2] + 1j * vals[:, 3]
+    return CircleFunction(grid, samples), config

@@ -8,6 +8,11 @@ on the negative Fourier coefficients of the symbol and is complex symmetric.
 Multiplying the symbol by t^n shifts the entries by n anti-diagonals, so one
 reversed Cholesky factor of a wide master (ShiftFactor) serves every shifted
 solve of the inverse map.
+
+Every regularity decision rests on the gap 1 - ||H||.  The norm comes from
+hankel_norm: Lanczos on H*H with full reorthogonalization, where each
+Hankel matvec is an FFT correlation with the zero-padded coefficients, so
+no operator is formed and no SVD is taken.
 """
 
 from __future__ import annotations
@@ -19,6 +24,59 @@ import scipy.linalg
 
 from .circle import CircleFunction, DiskFunction, default_grid, disk_from_boundary
 from .errors import NearSingularError, NumericalError, RegularityError
+
+
+#: Lanczos steps hankel_norm may take before it reports non-convergence.
+LANCZOS_MAX_STEPS = 200
+
+
+def hankel_norm(neg, rows, cols):
+    """||W|| for the rows x cols Hankel matrix W[k, j] = neg[k + j].
+
+    Lanczos on W*W with full reorthogonalization, never forming W: W x is
+    the correlation of the zero-padded neg with x (two FFTs, with fft(neg)
+    taken once), and W* z = conj(W^T conj z) where W^T has the same Hankel
+    structure.  The start vector is fixed and seeded, so repeated calls
+    return the same bits.  Stops when the Ritz residual beta_k |s_k| falls
+    to 1e-15 times the top Ritz value, or when the Krylov space fills all
+    cols dimensions; reaching LANCZOS_MAX_STEPS first raises NumericalError
+    rather than returning an unconverged value.
+    """
+    c = np.asarray(neg, dtype=np.complex128)[: rows + cols - 1]
+    if len(c) < rows + cols - 1:
+        raise ValueError(f"need {rows + cols - 1} coefficients, got {len(c)}")
+    if rows == 0 or cols == 0 or not np.any(c):
+        return 0.0
+    n = 1 << (len(c) - 1).bit_length()
+    spec = np.fft.fft(c, n) * n
+
+    def corr(x, m):
+        # (sum_j c[k + j] x[j]) for k < m; n >= len(c), so no index wraps
+        return np.fft.ifft(spec * np.fft.ifft(x, n))[:m]
+
+    re, im = np.random.default_rng(0).standard_normal((2, cols))
+    steps = min(cols, LANCZOS_MAX_STEPS)
+    basis = np.empty((steps, cols), dtype=np.complex128)
+    basis[0] = re + 1j * im
+    basis[0] /= np.linalg.norm(basis[0])
+    alpha = np.zeros(steps)
+    beta = np.zeros(steps)
+    for k in range(steps):
+        w = np.conj(corr(np.conj(corr(basis[k], rows)), cols))
+        alpha[k] = np.vdot(basis[k], w).real
+        q = basis[: k + 1]
+        for _ in range(2):
+            w -= q.T @ (q.conj() @ w)
+        beta[k] = np.linalg.norm(w)
+        off = beta[:k]
+        theta, s = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(off, 1) + np.diag(off, -1))
+        if beta[k] * abs(s[-1, -1]) <= 1e-15 * abs(theta[-1]) or k + 1 == cols:
+            return float(np.sqrt(max(theta[-1], 0.0)))
+        if k + 1 < steps:
+            basis[k + 1] = w / beta[k]
+    raise NumericalError(
+        f"Hankel norm Lanczos did not converge in {steps} steps "
+        f"(Ritz residual {beta[-1] * abs(s[-1, -1]):.3e})")
 
 
 @dataclass
@@ -49,10 +107,7 @@ class HankelOp:
 
     def sigma_max(self):
         if self._sigma is None:
-            if self.order == 0 or not np.any(self.mat):
-                self._sigma = 0.0
-            else:
-                self._sigma = float(scipy.linalg.svdvals(self.mat)[0])
+            self._sigma = hankel_norm(self.neg[self.shift:], self.order, self.order)
         return self._sigma
 
     def frobenius_sq(self):
@@ -156,7 +211,7 @@ def shift_factor(s, M, max_shift):
     """
     neg = hankel_from_symbol(s, M, max_shift=max_shift).neg
     w = neg[np.add.outer(np.arange(M), np.arange(M + max_shift))]
-    sigma = float(scipy.linalg.svdvals(w)[0])
+    sigma = hankel_norm(neg, M, M + max_shift)
     if 1.0 - sigma <= 1e-8:
         raise RegularityError(
             f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")

@@ -37,6 +37,8 @@ class VerblunskySeq:
     def __post_init__(self):
         a_minus1 = complex(self.a_minus1)
         a = tuple(complex(x) for x in self.a)
+        if not np.all(np.isfinite((a_minus1,) + a)):
+            raise ValueError("Verblunsky coefficients must be finite")
         if abs(abs(a_minus1) - 1.0) > 1e-12:
             raise ValueError(f"|a_minus1| must be 1, got {abs(a_minus1):.15g}")
         for k, ak in enumerate(a):

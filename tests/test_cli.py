@@ -174,3 +174,92 @@ def test_inverse_trunc_beyond_coefficient_window(a05_json, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "resolves 2047 negative coefficients" in err
     assert "order 1024 with shift 14 needs 2061" in err
+
+
+def test_non_finite_sequence_rejected(tmp_path, capsys):
+    # json.load accepts NaN, and every |.| comparison with NaN is False
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"a_minus1":[NaN,0],"a":[[NaN,0]]}')
+    code = main(["forward", "--input", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def _csv_lines(a05_json, tmp_path):
+    out = tmp_path / "a05"
+    main(["forward", "--input", a05_json, "--out", str(out), "--grid", "1024"])
+    return out.with_suffix(".s.csv").read_text().splitlines()
+
+
+def _inverse_exit(tmp_path, lines):
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return main(["inverse", "--input", str(path), "--out", str(tmp_path / "rec"),
+                 "--grid", "1024", "--trunc", "128", "--order", "4"])
+
+
+def test_csv_rows_in_any_order_accepted(a05_json, tmp_path):
+    lines = _csv_lines(a05_json, tmp_path)
+    head, rows = lines[:2], lines[2:]
+    assert _inverse_exit(tmp_path, head + rows[::-1]) == 0
+
+
+def test_csv_duplicated_row_rejected(a05_json, tmp_path, capsys):
+    lines = _csv_lines(a05_json, tmp_path)
+    lines[2 + 5] = lines[2 + 4]  # index 4 twice, index 5 missing
+    assert _inverse_exit(tmp_path, lines) == 2
+    assert "exactly once" in capsys.readouterr().err
+
+
+def test_csv_shuffled_theta_rejected(a05_json, tmp_path, capsys):
+    lines = _csv_lines(a05_json, tmp_path)
+    r4, r5 = lines[2 + 4].split(","), lines[2 + 5].split(",")
+    r4[1], r5[1] = r5[1], r4[1]
+    lines[2 + 4], lines[2 + 5] = ",".join(r4), ",".join(r5)
+    assert _inverse_exit(tmp_path, lines) == 2
+    assert "theta" in capsys.readouterr().err
+
+
+def test_csv_non_finite_sample_rejected(a05_json, tmp_path, capsys):
+    lines = _csv_lines(a05_json, tmp_path)
+    row = lines[2 + 7].split(",")
+    row[2] = "nan"
+    lines[2 + 7] = ",".join(row)
+    assert _inverse_exit(tmp_path, lines) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_classify_and_inverse_deterministic(a05_json, tmp_path):
+    s_csv = tmp_path / "a05.s.csv"
+    main(["forward", "--input", a05_json, "--out", str(tmp_path / "a05"), "--grid", "2048"])
+    runs = [
+        (["classify", "--input", a05_json, "--grid", "2048", "--trunc", "128"], ".classify.json"),
+        (["classify", "--input", str(s_csv), "--grid", "2048", "--trunc", "128"], ".classify.json"),
+        (["inverse", "--input", str(s_csv), "--grid", "2048", "--trunc", "128",
+          "--order", "6"], ".recovery.json"),
+    ]
+    for argv, suffix in runs:
+        outs = [tmp_path / f"{argv[0]}{k}" for k in (1, 2)]
+        for out in outs:
+            assert main(argv + ["--out", str(out)]) == 0
+        assert (outs[0].with_suffix(suffix).read_bytes()
+                == outs[1].with_suffix(suffix).read_bytes())
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse costs startup time and resident memory on every command
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cmvscatter
+
+    src = str(Path(cmvscatter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, cmvscatter.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -304,3 +304,55 @@ def test_reversed_cholesky():
     assert np.max(np.abs(r @ r.conj().T - a)) < 1e-12
     with pytest.raises(NumericalError, match="Cholesky"):
         reversed_cholesky(np.diag([1.0, -1.0, 2.0]).astype(complex))
+
+
+def _dense_norm(neg, rows, cols):
+    import scipy.linalg
+
+    return float(scipy.linalg.svdvals(neg[np.add.outer(np.arange(rows), np.arange(cols))])[0])
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_hankel_norm_matches_svd(grid4096, seed):
+    # complex coefficients, random unimodular a_minus1, square and
+    # rectangular (M x (M + shift)) masters, orders 1 and 2
+    from cmvscatter.hankel import hankel_norm
+
+    rng = np.random.default_rng(seed)
+    neg = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), 256,
+                             max_shift=14).neg
+    for rows, cols in ((256, 256), (256, 270), (64, 78), (100, 37),
+                       (1, 1), (1, 3), (2, 2), (2, 5), (3, 1)):
+        assert abs(hankel_norm(neg, rows, cols) - _dense_norm(neg, rows, cols)) < 1e-14
+
+
+def test_hankel_norm_edge_operators():
+    from cmvscatter.hankel import hankel_norm
+
+    neg = np.zeros(64, dtype=complex)
+    assert hankel_norm(neg, 16, 20) == 0.0
+    assert hankel_norm(neg, 0, 0) == 0.0
+    neg[0] = 1.0  # sigma exactly 1
+    assert abs(hankel_norm(neg, 16, 20) - 1.0) < 1e-14
+    assert _dense_norm(neg, 16, 20) == 1.0
+    with pytest.raises(ValueError, match="coefficients"):
+        hankel_norm(neg, 40, 40)
+
+
+def test_hankel_norm_deterministic(grid4096):
+    from cmvscatter.hankel import hankel_norm
+
+    rng = np.random.default_rng(45)
+    neg = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), 512).neg
+    assert hankel_norm(neg, 512, 512) == hankel_norm(neg, 512, 512)
+
+
+def test_hankel_norm_refuses_unconverged(grid4096, monkeypatch):
+    from cmvscatter import NumericalError
+    from cmvscatter import hankel
+
+    rng = np.random.default_rng(46)
+    neg = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), 256).neg
+    monkeypatch.setattr(hankel, "LANCZOS_MAX_STEPS", 2)
+    with pytest.raises(NumericalError, match="did not converge"):
+        hankel.hankel_norm(neg, 256, 256)

@@ -19,6 +19,11 @@ def test_seq_validation():
         VerblunskySeq(a_minus1=0.5, a=())
     with pytest.raises(ValueError):
         VerblunskySeq(a_minus1=1.0, a=(1.0,))
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            VerblunskySeq(a_minus1=1.0, a=(0.5, bad))
+        with pytest.raises(ValueError, match="finite"):
+            VerblunskySeq(a_minus1=bad, a=())
     seq = VerblunskySeq(a_minus1=np.exp(0.4j), a=(0.5, -0.25j))
     assert seq.support == 2
     assert abs(seq.rho(0) - np.sqrt(0.75)) < 1e-15
