@@ -184,7 +184,6 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
     if seq is None and s is None:
         raise ValueError("provide a sequence or a scattering function")
     grid = grid or (s.grid if s is not None else default_grid())
-    half_grid = CircleGrid(grid.size // 2)
 
     if seq is not None:
         data = forward_scatter(seq, grid)
@@ -193,7 +192,6 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
         regular, sigma = rep.regular, rep.sigma_max
         coeffs = np.asarray(seq.a)
         w_full = data.w
-        w_half = spectral_density(seq, half_grid)
         a_minus1 = seq.a_minus1
     else:
         n_max = min(n_max_probe, M - 64)
@@ -203,15 +201,15 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
             coeffs = rec.a
             probe = VerblunskySeq(a_minus1=rec.a_minus1, a=tuple(rec.a))
             w_full = spectral_density(probe, grid)
-            w_half = spectral_density(probe, half_grid)
             a_minus1 = rec.a_minus1
         except (RegularityError, NumericalError):
             regular = False
             coeffs = np.zeros(0)
             w_full = CircleFunction.constant(grid, 1.0)
-            w_half = CircleFunction.constant(half_grid, 1.0)
             a_minus1 = -1.0
         sigma = hankel_from_symbol(s, M).sigma_max()
+    # the half grid's nodes are the even nodes of the full grid
+    w_half = CircleFunction(CircleGrid(grid.size // 2), w_full.samples[::2])
 
     index = winding_index(s, r=r)
     besov, besov_growth = _windowed_besov(s)

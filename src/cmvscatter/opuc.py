@@ -1,16 +1,20 @@
 """Verblunsky sequences, CMV matrices, Schur recursion, Laurent basis.
 
-The spectral-density oracle is the Schur algorithm run backward on the
-coefficients a_0..a_{M-1}: exact for finitely supported sequences and
-O(M*N), so it is the ground truth for every forward map in this package.
-The density depends only on a_0, a_1, ...; the unimodular a_{-1} enters the
-scattering function and the phases of the orthonormal Laurent basis.
+The spectral density is the Schur algorithm run backward on the
+coefficients a_0..a_{M-1}, carried out on polynomials instead of point
+values: for a finitely supported sequence it is w = c/|Phi|^2 with
+c = prod(1 - |a_k|^2) and one degree-M polynomial Phi (the Szego
+polynomial), zero-free on the closed disk with Phi(0) = 1, whose values at
+the grid nodes come from one FFT.  `schur_function` keeps the pointwise
+recursion as an independent reference.  The density depends only on
+a_0, a_1, ...; the unimodular a_{-1} enters the scattering function and
+the phases of the orthonormal Laurent basis.
 
 Convention note (conjugation calibration, documented once here): the
 five-diagonal matrix is built verbatim from the user's coefficients, while
 the Laurent-basis recursion runs on the twisted coefficients
 -a_{-1} * conj(a_k).  With that twist the basis is orthonormal for the
-density produced by the Schur oracle, the leading coefficients are
+spectral density, the leading coefficients are
 1/(rho_0...rho_{2n-1}) and -conj(a_{-1})/(rho_0...rho_{2n}), and the
 kernel-ratio identity used by the inverse map reads
 ratio_n = -conj(a_{-1}) * a_n.
@@ -25,6 +29,10 @@ import numpy as np
 
 from .circle import CircleFunction, default_grid, disk_from_boundary
 from .errors import NumericalError
+
+#: Largest accepted bound eps * sum|phi_k| / min_j |Phi(t_j)| on the relative
+#: error of the Szego polynomial's values at the grid nodes.
+EVAL_BOUND_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -99,17 +107,62 @@ def schur_caratheodory(seq, grid=None):
     return R
 
 
-def spectral_density(seq, grid=None):
-    """Spectral density w = Re R on the grid; integrates to 1.
+def szego_polynomial(a):
+    """Coefficients phi_0..phi_M of the Szego polynomial Phi of a_0..a_{M-1}.
 
-    Computed as (1 - |tf|^2)/|1 - tf|^2 for positivity down to rounding.
-    The density does not involve a_minus1.
+    Phi = D_0 - z N_0 for the Schur recursion run on polynomials,
+    f_k = N_k/D_k with N_M = 0, D_M = 1, N_k = a_k D_{k+1} + z N_{k+1} and
+    D_k = D_{k+1} + conj(a_k) z N_{k+1}.  So Phi(0) = 1, Phi has no zero on
+    the closed disk, and |D_0|^2 - |N_0|^2 = prod(1 - |a_k|^2) on the circle.
+    Phi is also the reversed monic orthogonal polynomial Phi*_M, which
+    Szego's recursion Phi*_{n+1} = Phi*_n - a_n z Phi_n builds in one array
+    (Phi_n holds the coefficients of Phi*_n reversed and conjugated); that
+    is what runs here, O(M^2).
+    """
+    a = np.asarray(a)
+    phi = np.zeros(len(a) + 1, dtype=np.result_type(a.dtype, np.float64))
+    phi[0] = 1.0
+    for n, an in enumerate(a):
+        phi[1:n + 2] -= an * np.conj(phi[n::-1])
+    return phi
+
+
+def szego_boundary(seq, grid):
+    """(c, Phi(t_j)): c = prod(1 - |a_k|^2) and the Szego polynomial at the
+    grid nodes, by one FFT of its coefficients folded modulo N (exact for
+    any support).  w = c/|Phi|^2, D = sqrt(c)/Phi, s = -a_{-1} conj(Phi)/Phi.
+
+    Raises NumericalError when a value is zero or not finite, or when the
+    evaluation error bound eps * sum|phi_k| / min|Phi(t_j)| exceeds
+    EVAL_BOUND_LIMIT.
+    """
+    n = grid.size
+    a = np.asarray(seq.a, dtype=np.complex128)
+    if not a.imag.any():
+        a = a.real  # real coefficients keep Phi real at half the cost
+    c = float(np.prod(1.0 - np.abs(a) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = szego_polynomial(a)
+        total = float(np.sum(np.abs(phi)))
+        folded = np.pad(phi, (0, -len(phi) % n)).reshape(-1, n).sum(axis=0)
+        phi_t = np.fft.ifft(folded, norm="forward")
+    low = float(np.min(np.abs(phi_t)))
+    if not (c > 0.0 and low > 0.0 and np.all(np.isfinite(phi_t))
+            and np.finfo(float).eps * total <= EVAL_BOUND_LIMIT * low):
+        raise NumericalError(
+            f"Szego polynomial of degree {len(a)} cannot be evaluated accurately "
+            f"on the grid (coefficient sum {total:.3e}, min |Phi| {low:.3e})")
+    return c, phi_t
+
+
+def spectral_density(seq, grid=None):
+    """Spectral density w = Re R = c/|Phi|^2 on the grid; integrates to 1.
+
+    Positive by construction.  The density does not involve a_minus1.
     """
     grid = grid or default_grid()
-    t = grid.nodes
-    zf = t * schur_function(seq.a, t)
-    w = (1.0 - np.abs(zf) ** 2) / np.abs(1.0 - zf) ** 2
-    return CircleFunction(grid, w)
+    c, phi_t = szego_boundary(seq, grid)
+    return CircleFunction(grid, c / np.abs(phi_t) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Forward scattering: outer functions, the scattering function, phi/psi,
 reproducing kernels, and the polynomial-basis asymptotics.
 
-The scattering function is computed as s = -a_{-1} exp(i * conj(log w)),
-which is exactly unimodular sample by sample; near-zeros of w only degrade
-the phase locally, and the affected nodes are reported so sup-norm checks
-can exclude a fixed window around them.
+For a finitely supported sequence the forward map is rational: with the
+Szego polynomial Phi of `opuc.szego_boundary` and c = prod(1 - |a_k|^2),
+w = c/|Phi|^2, D = sqrt(c)/Phi and s = -a_{-1} D/conj(D) =
+-a_{-1} conj(Phi)/Phi, all read off the same values Phi(t_j).  Nothing is
+clamped; nodes with w below CLAMP_THRESHOLD are still reported so sup-norm
+checks can exclude a fixed window around them.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import (
+    CLAMP_THRESHOLD,
     CircleFunction,
     DiskFunction,
-    clamped_log,
-    conjugate_function,
     default_grid,
     disk_from_boundary,
     outer_boundary_samples,
-    outer_from_modulus_squared,
 )
 from .errors import NumericalError
-from .opuc import spectral_density
+from .opuc import szego_boundary
 
 
 @dataclass
@@ -53,19 +53,21 @@ class ScatteringData:
 def forward_scatter(seq, grid=None):
     """Verblunsky coefficients -> (w, D, s) on the grid.
 
-    D comes from the clamped log of w through the conjugate-function
-    multiplier; s = -a_{-1} D / D_* is realized as a pure phase so that
-    |s| = 1 holds to rounding everywhere, clamped nodes included.
+    w = c/|Phi|^2 is positive, D holds the first N/2 coefficients of
+    sqrt(c)/Phi with D(0) = sqrt(c) exactly, and s = -a_{-1} conj(Phi)/Phi
+    is unimodular to rounding.  Raises NumericalError when Phi cannot be
+    evaluated accurately on the grid.
     """
     grid = grid or default_grid()
-    w = spectral_density(seq, grid)
-    D = outer_from_modulus_squared(w, grid)
-    logw, clamped = clamped_log(w.samples.real, warn=False)
-    tilde = conjugate_function(CircleFunction(grid, logw))
-    s = CircleFunction(grid, -seq.a_minus1 * np.exp(1j * tilde.samples.real))
+    c, phi_t = szego_boundary(seq, grid)
+    w = CircleFunction(grid, c / np.abs(phi_t) ** 2)
+    d0 = float(np.sqrt(c))
+    coef = np.fft.fft(d0 / phi_t)[: grid.size // 2] / grid.size
+    coef[0] = d0
+    s = CircleFunction(grid, -seq.a_minus1 * np.conj(phi_t) / phi_t)
     return ScatteringData(
-        s=s, D=D, d0=float(D.at_zero().real), a_minus1=seq.a_minus1,
-        w=w, clamped=clamped,
+        s=s, D=DiskFunction(coef, "interior"), d0=d0, a_minus1=seq.a_minus1,
+        w=w, clamped=w.samples.real < CLAMP_THRESHOLD,
     )
 
 

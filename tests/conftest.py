@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmvscatter import CircleGrid, VerblunskySeq
+from cmvscatter.opuc import schur_function
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +43,36 @@ def random_complex_seq(rng, m, max_mod=0.7):
     phase = rng.uniform(0.0, 2.0 * np.pi, m)
     am1 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     return VerblunskySeq(a_minus1=am1, a=tuple(mod * np.exp(1j * phase)))
+
+
+def ggt_matrix(a):
+    """The m x m GGT matrix of a_0..a_{m-1}: its eigenvalues are the zeros of
+    the monic orthogonal polynomial of degree m, and their reflections
+    1/conj(z) are the zeros of the Szego polynomial of `opuc`."""
+    a = np.asarray(a, dtype=np.complex128)
+    m = len(a)
+    rho = np.sqrt(1.0 - np.abs(a) ** 2)
+    prev = np.concatenate(([-1.0], a[:-1]))
+    g = np.zeros((m, m), dtype=np.complex128)
+    for k in range(m):
+        for j in range(k, m):
+            g[k, j] = -np.conj(a[j]) * prev[k] * np.prod(rho[k:j])
+        if k + 1 < m:
+            g[k + 1, k] = rho[k]
+    return g
+
+
+def resolved_by(grid, a):
+    """True when grid's N/2 coefficients resolve 1/Phi: its coefficients decay
+    like r^k, r the spectral radius of the GGT matrix, and r^(N/2) <= 1e-17."""
+    if len(a) == 0:
+        return True
+    radius = np.max(np.abs(np.linalg.eigvals(ggt_matrix(a))))
+    return radius ** (grid.size // 2) <= 1e-17
+
+
+def schur_density(a, grid):
+    """Reference density (1 - |tf|^2)/|1 - tf|^2 from the pointwise Schur
+    recursion; it loses digits to cancellation where w is small."""
+    zf = grid.nodes * schur_function(a, grid.nodes)
+    return (1.0 - np.abs(zf) ** 2) / np.abs(1.0 - zf) ** 2

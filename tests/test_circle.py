@@ -233,3 +233,43 @@ def test_csv_roundtrip(tmp_path, grid):
     path2 = tmp_path / "f2.csv"
     write_circle_csv(path2, g, {"grid": grid.size, "cmd": "test"})
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _reference_csv_text(f, config):
+    """The per-row writer: every value through format(x, ".17g")."""
+    lines = []
+    if config:
+        items = ",".join(f"{k}={config[k]}" for k in sorted(config))
+        lines.append(f"# config: {items}")
+    lines.append("index,theta,re,im")
+    thetas = f.grid.thetas
+    for j in range(f.grid.size):
+        s = f.samples[j]
+        lines.append(f"{j},{format(float(thetas[j]), '.17g')},"
+                     f"{format(float(s.real), '.17g')},{format(float(s.imag), '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("size,block", [(16, None), (64, 7), (8192, None), (8192, 3000)])
+def test_csv_writer_matches_per_row_format(tmp_path, monkeypatch, size, block):
+    # block None: the shipped CSV_BLOCK_ROWS, which exceeds 16 and divides 8192
+    from cmvscatter import circle
+
+    if block is not None:
+        monkeypatch.setattr(circle, "CSV_BLOCK_ROWS", block)
+    grid = CircleGrid(size)
+    rng = np.random.default_rng(size)
+    re = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size)
+    im = rng.normal(size=size)
+    specials = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 0.0, 1.0 / 3.0,
+                2.2250738585072014e-308, 123456789.0, 1e16, -1e-5, 0.1]
+    re[: len(specials)] = specials
+    im[-len(specials):] = specials[::-1]
+    f = CircleFunction(grid, re + 1j * im)
+    for config in (None, {"grid": size, "command": "test"}):
+        path = tmp_path / "f.csv"
+        write_circle_csv(path, f, config)
+        assert path.read_text() == _reference_csv_text(f, config)
+        g, _ = read_circle_csv(path)
+        assert np.array_equal(g.samples.real.view(np.uint64), f.samples.real.view(np.uint64))
+        assert np.array_equal(g.samples.imag.view(np.uint64), f.samples.imag.view(np.uint64))

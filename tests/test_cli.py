@@ -68,6 +68,26 @@ def test_forward_missing_file(tmp_path):
     assert code == 2
 
 
+def test_forward_exit_3_on_inaccurate_polynomial(tmp_path, capsys):
+    # constant 1/2 with support 40: Phi's values on the gap arc are lost to
+    # cancellation; a valid sequence, so a numerical failure, not bad input
+    src = write_seq(tmp_path / "c40.json", VerblunskySeq(a_minus1=-1.0, a=(0.5,) * 40))
+    code = main(["forward", "--input", src, "--out", str(tmp_path / "c40"),
+                 "--grid", "4096"])
+    assert code == 3
+    assert "Szego polynomial" in capsys.readouterr().err
+
+
+def test_forward_constant_half_support_20(tmp_path):
+    a = (0.5,) * 20
+    src = write_seq(tmp_path / "c20.json", VerblunskySeq(a_minus1=-1.0, a=a))
+    out = tmp_path / "c20"
+    code = main(["forward", "--input", src, "--out", str(out), "--grid", "16384"])
+    assert code == 0
+    d0 = json.loads(out.with_suffix(".meta.json").read_text())["D0"]
+    assert abs(d0 ** 2 / 0.75 ** 20 - 1.0) < 1e-12
+
+
 def test_inverse_roundtrip_via_files(a05_json, tmp_path):
     out = tmp_path / "a05"
     main(["forward", "--input", a05_json, "--out", str(out), "--grid", "4096"])

@@ -9,9 +9,17 @@ from cmvscatter import (
     schur_caratheodory,
     spectral_density,
 )
-from cmvscatter.opuc import cmv_first_return, cmv_inverse_truncation, gram_schmidt_basis
+from cmvscatter import CircleGrid, NumericalError
+from cmvscatter.classify import jacobi_verblunsky
+from cmvscatter.opuc import (
+    cmv_first_return,
+    cmv_inverse_truncation,
+    gram_schmidt_basis,
+    szego_boundary,
+    szego_polynomial,
+)
 
-from conftest import random_complex_seq
+from conftest import ggt_matrix, random_complex_seq, schur_density
 
 
 def test_seq_validation():
@@ -86,6 +94,81 @@ def test_density_jacobi_approximates_quartic(grid4096):
     away = np.abs(np.angle(t)) > 0.5
     rel = np.abs(w.samples.real[away] / target[away] - 1.0)
     assert np.max(rel) < 0.05
+
+
+def test_density_matches_schur_formula(grid):
+    # supports kept short: the reference loses digits to the cancellation in
+    # 1 - |tf|^2 where w is small (4e-12 at support 20 against 80-bit values)
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 3, 5, 8, 8):
+        seq = random_complex_seq(rng, m)
+        w = spectral_density(seq, grid).samples
+        ref = schur_density(seq.a, grid)
+        assert np.all(w.real > 0.0) and np.all(w.imag == 0.0)
+        assert np.max(np.abs(w.real / ref - 1.0)) < 1e-12
+
+
+def test_density_matches_schur_formula_long_support():
+    grid = CircleGrid(16384)
+    seq = jacobi_verblunsky(0.25, 0.0, 2000)
+    w = spectral_density(seq, grid).samples.real
+    assert np.max(np.abs(w / schur_density(seq.a, grid) - 1.0)) < 1e-12
+    assert abs(np.mean(w) - 1.0) < 1e-13
+
+
+def test_density_folds_support_beyond_grid():
+    # support 40 on 16 nodes: Phi's coefficients are folded modulo 16
+    grid = CircleGrid(16)
+    seq = random_complex_seq(np.random.default_rng(7), 40, max_mod=0.3)
+    w = spectral_density(seq, grid).samples.real
+    assert np.max(np.abs(w / schur_density(seq.a, grid) - 1.0)) < 1e-12
+
+
+def test_szego_polynomial_structure():
+    rng = np.random.default_rng(5)
+    for m in (0, 1, 3, 9):
+        a = random_complex_seq(rng, m, max_mod=0.9).a
+        phi = szego_polynomial(a)
+        assert len(phi) == m + 1
+        assert phi[0] == 1.0
+        if m:
+            assert phi[-1] == -a[-1]
+            # zeros: the reflections 1/conj(z) of the GGT eigenvalues, |z| < 1
+            zeros = np.sort_complex(np.roots(phi[::-1]))
+            eig = np.linalg.eigvals(ggt_matrix(a))
+            assert np.max(np.abs(eig)) < 1.0
+            assert np.max(np.abs(zeros - np.sort_complex(1.0 / np.conj(eig)))) < 1e-12
+    # a single coefficient: Phi = 1 - a_0 z
+    assert np.array_equal(szego_polynomial([0.5 + 0.25j]), [1.0, -(0.5 + 0.25j)])
+
+
+def test_szego_polynomial_is_the_schur_denominator():
+    # Phi = D_0 - z N_0 of the Schur recursion on polynomials, run here as
+    # written: N_M = 0, D_M = 1, N_k = a_k D + z N, D_k = D + conj(a_k) z N
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 7, 30):
+        a = random_complex_seq(rng, m, max_mod=0.8).a
+        num, den = np.zeros(m + 1, dtype=complex), np.zeros(m + 1, dtype=complex)
+        den[0] = 1.0
+        for ak in reversed(a):
+            z_num = np.concatenate(([0.0], num[:-1]))
+            num, den = ak * den + z_num, den + np.conj(ak) * z_num
+        phi = den - np.concatenate(([0.0], num[:-1]))
+        got = szego_polynomial(a)
+        assert np.max(np.abs(got - phi)) <= 1e-14 * np.sum(np.abs(phi))
+    assert szego_polynomial([0.5, -0.25]).dtype == np.float64
+
+
+def test_density_refuses_inaccurate_polynomial(grid4096, monkeypatch):
+    # constant 1/2 with support 40 has values of Phi lost to cancellation
+    with pytest.raises(NumericalError, match="Szego polynomial"):
+        spectral_density(VerblunskySeq(a_minus1=-1.0, a=(0.5,) * 40), grid4096)
+    seq = VerblunskySeq(a_minus1=-1.0, a=(0.5, 1.0 / 3.0))
+    c, phi_t = szego_boundary(seq, grid4096)
+    assert c == 0.75 * (1.0 - 1.0 / 9.0)
+    monkeypatch.setattr("cmvscatter.opuc.EVAL_BOUND_LIMIT", 1e-17)
+    with pytest.raises(NumericalError):
+        szego_boundary(seq, grid4096)
 
 
 def test_build_cmv_free():

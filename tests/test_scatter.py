@@ -1,6 +1,10 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvscatter import (
+    CircleGrid,
+    NumericalError,
     VerblunskySeq,
     forward_scatter,
     kernels_from_spectral,
@@ -9,9 +13,10 @@ from cmvscatter import (
     szego_asymptotics_residual,
 )
 from cmvscatter.classify import jacobi_verblunsky
+from cmvscatter.opuc import szego_polynomial
 from cmvscatter.scatter import kernel_inner, scattering_identity_residual
 
-from conftest import random_complex_seq
+from conftest import random_complex_seq, resolved_by, schur_density
 
 
 def test_forward_free(grid):
@@ -68,6 +73,83 @@ def test_forward_jacobi_tends_to_monomial(grid4096):
         sups.append(np.max(np.abs(data.s.samples[away] - t[away] ** 2)))
     assert sups[0] < 0.5
     assert sups[1] < sups[0]
+
+
+def check_pointwise_identities(seq, data):
+    """w > 0, d0^2 = prod(1 - |a_k|^2) and |s| = 1 at every node."""
+    assert np.all(data.w.samples.real > 0.0)
+    product = np.prod(1.0 - np.abs(np.asarray(seq.a)) ** 2)
+    assert abs(data.d0 ** 2 / product - 1.0) < 1e-12
+    assert np.max(np.abs(np.abs(data.s.samples) - 1.0)) < 1e-15
+
+
+def identity_residual(data):
+    """max |s conj(D) + a_minus1 D| over every node, none excluded."""
+    d_t = data.D.boundary(data.s.grid).samples
+    return float(np.max(np.abs(data.s.samples * np.conj(d_t) + data.a_minus1 * d_t)))
+
+
+def check_grid_identities(data):
+    """mean(w) = 1 and the scattering identity on the truncated D; both need
+    a grid that resolves 1/Phi."""
+    assert abs(np.mean(data.w.samples.real) - 1.0) < 1e-13
+    assert identity_residual(data) <= 1e-13
+
+
+def test_forward_matches_schur_formula_complex(grid4096):
+    grid = grid4096
+    rng = np.random.default_rng(43)
+    for m in (1, 2, 4, 6, 8):
+        seq = random_complex_seq(rng, m, max_mod=0.5)
+        assert resolved_by(grid, seq.a)
+        data = forward_scatter(seq, grid)
+        assert np.max(np.abs(data.w.samples.real / schur_density(seq.a, grid) - 1.0)) < 1e-12
+        assert not data.clamped.any()
+        check_pointwise_identities(seq, data)
+        check_grid_identities(data)
+
+
+def test_forward_long_support_identities():
+    grid = CircleGrid(16384)
+    seq = jacobi_verblunsky(0.25, 0.0, 2000, a_minus1=np.exp(0.7j))
+    data = forward_scatter(seq, grid)
+    w = data.w.samples.real
+    assert np.max(np.abs(w / schur_density(seq.a, grid) - 1.0)) < 1e-12
+    assert abs(np.mean(w) - 1.0) < 1e-13
+    check_pointwise_identities(seq, data)
+    # Phi's nearest zero sits about 1e-3 outside the circle, so the first
+    # N/2 = 8192 coefficients of D leave a tail near 4e-7: the identity
+    # residual measures that truncation, not the forward map.
+    assert identity_residual(data) < 1e-6
+
+
+def test_forward_s_and_D_from_one_polynomial(grid):
+    seq = random_complex_seq(np.random.default_rng(3), 5)
+    data = forward_scatter(seq, grid)
+    phi_t = np.polynomial.polynomial.polyval(grid.nodes, szego_polynomial(seq.a))
+    assert np.max(np.abs(data.s.samples + seq.a_minus1 * np.conj(phi_t) / phi_t)) < 1e-14
+    assert np.max(np.abs(data.D.boundary(grid).samples - data.d0 / phi_t)) < 1e-14
+    assert data.D.at_zero() == data.d0
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    mods=st.lists(st.floats(0.0, 0.95), max_size=20),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=20, max_size=20),
+    theta=st.floats(0.0, 2.0 * np.pi),
+)
+def test_forward_property(mods, phases, theta):
+    seq = VerblunskySeq(a_minus1=np.exp(1j * theta),
+                        a=tuple(m * np.exp(1j * p) for m, p in zip(mods, phases)))
+    grid = CircleGrid(1024)
+    try:
+        data = forward_scatter(seq, grid)
+    except NumericalError:
+        return
+    check_pointwise_identities(seq, data)
+    # a zero of Phi closer to the circle puts a peak of w between the nodes
+    if resolved_by(grid, seq.a):
+        check_grid_identities(data)
 
 
 def test_phi_psi_trivial(grid):
