@@ -1,7 +1,7 @@
 """cmvscatter: forward and inverse scattering for CMV matrices.
 
 From Verblunsky coefficients to the unimodular scattering function and back
-through dense Hankel solves, with regularity diagnostics and the determinant
+through Hankel solves, with regularity diagnostics and the determinant
 identity tying the two sides together.
 """
 

@@ -200,7 +200,7 @@ class DiskFunction:
         return CircleFunction(grid, np.fft.ifft(spec) * n)
 
 
-def disk_from_boundary(samples, grid, kind="interior", max_len=None, tail_tol=1e-6):
+def disk_from_boundary(samples, grid, kind="interior", max_len=None):
     """One-sided coefficients of boundary samples known to be analytic.
 
     The wrong-sided spectral mass is reported back as `tail`; callers that

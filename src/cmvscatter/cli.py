@@ -100,6 +100,7 @@ def cmd_forward(args):
     _write_json(prefix.with_suffix(".meta.json"), {
         "a_minus1": [data.a_minus1.real, data.a_minus1.imag],
         "D0": data.d0,
+        "D_tail": data.tail,
         "clamped_nodes": int(data.clamped.sum()),
         "config": cfg,
     })

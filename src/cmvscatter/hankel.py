@@ -10,9 +10,12 @@ reversed Cholesky factor of a wide master (ShiftFactor) serves every shifted
 solve of the inverse map.
 
 Every regularity decision rests on the gap 1 - ||H||.  The norm comes from
-hankel_norm: Lanczos on H*H with full reorthogonalization, where each
-Hankel matvec is an FFT correlation with the zero-padded coefficients, so
-no operator is formed and no SVD is taken.
+hankel_norm: Lanczos on H*H with full reorthogonalization.  The single
+solves (I - r^2 H*H)^{-1} 1 behind the regularity test and the point
+evaluation run conjugate gradients on the same operator.  Each Hankel
+matvec in both is an FFT correlation with the zero-padded coefficients, so
+neither forms the operator, its Gram or a factor; only the shifted solves
+of the inverse map (ShiftFactor) stay dense.
 """
 
 from __future__ import annotations
@@ -28,6 +31,19 @@ from .errors import NearSingularError, NumericalError, RegularityError
 
 #: Lanczos steps hankel_norm may take before it reports non-convergence.
 LANCZOS_MAX_STEPS = 200
+
+
+def _correlator(c):
+    """corr(x, m)[k] = sum_j c[k + j] x[j] for k < m, by two FFTs of length
+    n >= len(c) with fft(c) taken once.  Exact (no index wraps) while
+    m + len(x) - 1 <= len(c); W x for W[k, j] = c[k + j] is corr(x, rows)."""
+    n = 1 << (len(c) - 1).bit_length()
+    spec = np.fft.fft(c, n) * n
+
+    def corr(x, m):
+        return np.fft.ifft(spec * np.fft.ifft(x, n))[:m]
+
+    return corr
 
 
 def hankel_norm(neg, rows, cols):
@@ -47,13 +63,7 @@ def hankel_norm(neg, rows, cols):
         raise ValueError(f"need {rows + cols - 1} coefficients, got {len(c)}")
     if rows == 0 or cols == 0 or not np.any(c):
         return 0.0
-    n = 1 << (len(c) - 1).bit_length()
-    spec = np.fft.fft(c, n) * n
-
-    def corr(x, m):
-        # (sum_j c[k + j] x[j]) for k < m; n >= len(c), so no index wraps
-        return np.fft.ifft(spec * np.fft.ifft(x, n))[:m]
-
+    corr = _correlator(c)
     re, im = np.random.default_rng(0).standard_normal((2, cols))
     steps = min(cols, LANCZOS_MAX_STEPS)
     basis = np.empty((steps, cols), dtype=np.complex128)
@@ -138,12 +148,18 @@ def hankel_from_symbol(s, M, max_shift=0):
 
 
 def solve_block(h, rhs="unit_H2", r=1.0):
-    """(I - r^2 H*H)^{-1} 1  or  (I - r^2 H H*)^{-1} t-bar by Cholesky.
+    """(I - r^2 H*H)^{-1} 1  or  (I - r^2 H H*)^{-1} t-bar by conjugate gradients.
 
-    H is complex symmetric, so I - r^2 HH* = conj(I - r^2 H*H) and the
-    co-analytic solve is the conjugate of the analytic one.  At r=1 the gap
-    1 - sigma_max must exceed 1e-10, otherwise the solve is refused with the
-    measured sigma_max attached.
+    CG starts from 0 on A = I - r^2 H*H, with H*H x = conj(H conj(H x))
+    because H is complex symmetric; each product with H is an FFT
+    correlation, so no matrix is formed.  It stops when the recurrence
+    residual reaches 1e-15 or after `order` steps, and the true residual
+    ||A x - 1||, recomputed with the same operator, must stay within
+    1e-10 times the condition estimate 1/(1 - (r sigma_max)^2).  The
+    co-analytic solve is the conjugate of the analytic one, since
+    I - r^2 HH* = conj(A).  At r=1 the gap 1 - sigma_max must exceed
+    1e-10, otherwise the solve is refused with the measured sigma_max
+    attached.
     """
     if rhs not in ("unit_H2", "unit_H2minus"):
         raise ValueError(f"unknown rhs selector {rhs!r}")
@@ -154,13 +170,31 @@ def solve_block(h, rhs="unit_H2", r=1.0):
         raise NearSingularError(
             f"sigma_max = {sigma:.12g}; the r=1 solve needs sigma_max < 1 - 1e-10",
             sigma_max=sigma)
-    m = h.mat
-    system = np.eye(h.order) - (r * r) * (m.conj().T @ m)
-    e0 = np.zeros(h.order, dtype=np.complex128)
+    m = h.order
+    corr = _correlator(h.neg[h.shift:][: 2 * m - 1])
+
+    def system(v):
+        return v - (r * r) * np.conj(corr(np.conj(corr(v, m)), m))
+
+    e0 = np.zeros(m, dtype=np.complex128)
     e0[0] = 1.0
-    cho = scipy.linalg.cho_factor(system, lower=True)
-    x = scipy.linalg.cho_solve(cho, e0)
-    resid = float(np.linalg.norm(system @ x - e0))
+    x = np.zeros(m, dtype=np.complex128)
+    res, p, rs = e0.copy(), e0.copy(), 1.0
+    for _ in range(m):
+        ap = system(p)
+        curvature = np.vdot(p, ap).real
+        if not curvature > 0.0:
+            raise NumericalError(
+                f"block system is not positive definite (p*Ap = {curvature:.3e})")
+        alpha = rs / curvature
+        x += alpha * p
+        res -= alpha * ap
+        rs_next = np.vdot(res, res).real
+        if np.sqrt(rs_next) <= 1e-15:
+            break
+        p = res + (rs_next / rs) * p
+        rs = rs_next
+    resid = float(np.linalg.norm(system(x) - e0))
     cond_est = 1.0 / max(1.0 - (r * sigma) ** 2, 1e-300)
     if resid > 1e-10 * cond_est:
         raise NumericalError(
@@ -252,7 +286,8 @@ def phi_h(h, grid=None, g=None):
     h = conj(g) because H is complex symmetric."""
     grid = grid or default_grid()
     g = solve_block(h, "unit_H2") if g is None else g
-    q = -h.mat.conj().T @ np.conj(g)
+    # H* conj(g) = conj(H g): H is complex symmetric
+    q = -np.conj(_correlator(h.neg[h.shift:][: 2 * h.order - 1])(g, h.order))
     phi_t = grid.nodes * _taylor_on_grid(q, grid) / _taylor_on_grid(g, grid)
     phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
     coef = np.array(phi.coef)
@@ -324,18 +359,18 @@ def regularity_test(seq=None, s=None, d0=None, M=256, grid=None, tol=1e-4):
         h = hankel_from_symbol(s, order)
         sigma = h.sigma_max()
         if 1.0 - sigma <= 1e-8:
-            return None, sigma
-        return float(solve_block(h, "unit_H2")[0].real), sigma
+            return None, sigma, h
+        return float(solve_block(h, "unit_H2")[0].real), sigma, h
 
-    lhs, sigma = lhs_at(M)
+    lhs, sigma, h = lhs_at(M)
     rhs = 1.0 / (d0 * d0)
     if lhs is None:
-        sweep, exists = aak_limit_sweep(hankel_from_symbol(s, M))
+        sweep, exists = aak_limit_sweep(h)
         reason = (f"sigma_max = {sigma:.9g} too close to 1; r-sweep "
                   f"{'bounded' if exists else 'diverges'} at {sweep[-1]:.3g}")
         return RegularityReport(False, float("nan"), rhs, sigma, False,
                                 reason=reason, r_sweep=sweep)
-    lhs2, _ = lhs_at(2 * M) if 2 * M <= s.grid.size // 4 else (lhs, sigma)
+    lhs2 = lhs_at(2 * M)[0] if 2 * M <= s.grid.size // 4 else lhs
     converged = lhs2 is not None and abs(lhs2 - lhs) <= 10 * tol * max(abs(lhs), 1.0)
     gap = abs(lhs * d0 * d0 - 1.0)
     regular = gap <= tol and sigma < 1.0 - 1e-8

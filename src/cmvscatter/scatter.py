@@ -29,7 +29,12 @@ from .opuc import szego_boundary
 
 @dataclass
 class ScatteringData:
-    """Forward-map output: unimodular s, outer D, and the weight behind them."""
+    """Forward-map output: unimodular s, outer D, and the weight behind them.
+
+    `tail` is the share of the spectral mass of sqrt(c)/Phi on the grid that
+    D drops (disk_from_boundary's wrong-sided tail); it is not small when the
+    grid does not resolve 1/Phi.
+    """
 
     s: CircleFunction
     D: DiskFunction
@@ -37,6 +42,7 @@ class ScatteringData:
     a_minus1: complex
     w: CircleFunction
     clamped: np.ndarray = field(repr=False)
+    tail: float = 0.0
 
     def excluded_nodes(self, halo=3):
         """Indices within `halo` nodes of a clamped node (circular)."""
@@ -55,19 +61,20 @@ def forward_scatter(seq, grid=None):
 
     w = c/|Phi|^2 is positive, D holds the first N/2 coefficients of
     sqrt(c)/Phi with D(0) = sqrt(c) exactly, and s = -a_{-1} conj(Phi)/Phi
-    is unimodular to rounding.  Raises NumericalError when Phi cannot be
-    evaluated accurately on the grid.
+    is unimodular to rounding; `tail` reports the coefficients D drops.
+    Raises NumericalError when Phi cannot be evaluated accurately on the grid.
     """
     grid = grid or default_grid()
     c, phi_t = szego_boundary(seq, grid)
     w = CircleFunction(grid, c / np.abs(phi_t) ** 2)
     d0 = float(np.sqrt(c))
-    coef = np.fft.fft(d0 / phi_t)[: grid.size // 2] / grid.size
+    D, tail = disk_from_boundary(d0 / phi_t, grid, kind="interior")
+    coef = np.array(D.coef)
     coef[0] = d0
     s = CircleFunction(grid, -seq.a_minus1 * np.conj(phi_t) / phi_t)
     return ScatteringData(
         s=s, D=DiskFunction(coef, "interior"), d0=d0, a_minus1=seq.a_minus1,
-        w=w, clamped=w.samples.real < CLAMP_THRESHOLD,
+        w=w, clamped=w.samples.real < CLAMP_THRESHOLD, tail=tail,
     )
 
 

@@ -55,6 +55,15 @@ def test_forward_deterministic(a05_json, tmp_path):
             == out2.with_suffix(".s.csv").read_bytes())
 
 
+def test_forward_meta_reports_tail(a05_json, tmp_path):
+    c20 = write_seq(tmp_path / "c20.json", VerblunskySeq(a_minus1=-1.0, a=(0.5,) * 20))
+    for src, resolved in ((a05_json, True), (c20, False)):
+        out = tmp_path / "run"
+        assert main(["forward", "--input", src, "--out", str(out), "--grid", "1024"]) == 0
+        tail = json.loads(out.with_suffix(".meta.json").read_text())["D_tail"]
+        assert tail < 1e-12 if resolved else tail > 0.1
+
+
 def test_forward_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"a_minus1": [1.0, 0.0], "a": [[2.0, 0.0]]}')

@@ -356,3 +356,84 @@ def test_hankel_norm_refuses_unconverged(grid4096, monkeypatch):
     monkeypatch.setattr(hankel, "LANCZOS_MAX_STEPS", 2)
     with pytest.raises(NumericalError, match="did not converge"):
         hankel.hankel_norm(neg, 256, 256)
+
+
+def _dense_block_solve(h, r=1.0):
+    """Reference: Cholesky of the dense I - r^2 H*H, solved against e0."""
+    import scipy.linalg
+
+    m = h.order
+    mat = h.neg[h.shift:][np.add.outer(np.arange(m), np.arange(m))]
+    e0 = np.zeros(m, dtype=complex)
+    e0[0] = 1.0
+    system = np.eye(m) - (r * r) * (mat.conj().T @ mat)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(system, lower=True), e0)
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_solve_block_matches_dense_cholesky(grid4096, m):
+    # complex coefficients and a random unimodular a_minus1, both selectors
+    rng = np.random.default_rng(50 + m)
+    big = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), m, max_shift=2)
+    for h in (big, big.shifted(2)):
+        for r in (0.9, 0.99, 1.0):
+            ref = _dense_block_solve(h, r)
+            x = solve_block(h, "unit_H2", r=r)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(solve_block(h, "unit_H2minus", r=r), np.conj(x))
+
+
+def test_solve_block_near_singular_matches_dense(grid4096):
+    # the s of jacobi(2, 0, 400): sigma_max = 1 - 4e-7, condition about 1e6
+    from cmvscatter.classify import jacobi_verblunsky
+
+    h = hankel_from_symbol(_symbol(grid4096, jacobi_verblunsky(2.0, 0.0, 400)), 512)
+    assert 1.0 - h.sigma_max() < 1e-6
+    ref = _dense_block_solve(h)
+    x = solve_block(h, "unit_H2")
+    assert abs(x[0].real - ref[0].real) <= 1e-8 * ref[0].real
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_solve_block_refuses_indefinite_system():
+    from cmvscatter import NumericalError
+    from cmvscatter.hankel import HankelOp
+
+    neg = np.zeros(64, dtype=complex)
+    neg[0] = 2.0  # sigma_max 2, so I - 0.81 H*H has the eigenvalue -2.24
+    with pytest.raises(NumericalError, match="positive definite"):
+        solve_block(HankelOp(16, neg), "unit_H2", r=0.9)
+
+
+def test_regularity_long_jacobi_matches_dense():
+    from cmvscatter import CircleGrid
+    from cmvscatter.classify import jacobi_verblunsky
+
+    data = forward_scatter(jacobi_verblunsky(0.25, 0.0, 2000), CircleGrid(16384))
+    rep = regularity_test(s=data.s, d0=data.d0, M=1024)
+    ref = _dense_block_solve(hankel_from_symbol(data.s, 1024))[0].real
+    assert abs(rep.lhs - ref) <= 1e-12 * ref
+    assert rep.converged
+
+
+def test_point_evaluation_forms_no_matrix(grid, monkeypatch):
+    from cmvscatter import aak_data, hankel
+
+    rng = np.random.default_rng(51)
+    s = _symbol(grid, random_complex_seq(rng, 4))
+    h = hankel_from_symbol(s, 64)
+    solve_block(h, "unit_H2")
+    assert h._mat is None
+    bundle = aak_data(h, grid)
+    assert h._mat is None
+    # phi_H's co-analytic product -H* conj(g) against the dense matrix
+    q = -(h.mat.conj().T @ np.conj(bundle.g))
+    phi_t = grid.nodes * np.fft.ifft(q, grid.size) / np.fft.ifft(bundle.g, grid.size)
+    assert np.max(np.abs(bundle.phi.boundary(grid).samples - phi_t)) < 1e-12
+    built = []
+    monkeypatch.setattr(hankel, "hankel_from_symbol",
+                        lambda *a, **k: built.append(hankel_from_symbol(*a, **k)) or built[-1])
+    regularity_test(s=s, d0=forward_scatter(random_complex_seq(rng, 4), grid).d0, M=64)
+    nonregular = regularity_test(s=CircleFunction(grid, 1.0 / grid.nodes), d0=1.0, M=64)
+    assert nonregular.r_sweep is not None
+    assert len(built) == 3 and all(op._mat is None for op in built)

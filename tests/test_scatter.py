@@ -123,6 +123,15 @@ def test_forward_long_support_identities():
     assert identity_residual(data) < 1e-6
 
 
+def test_forward_tail_reports_unresolved_grid(grid4096, corpus):
+    # constant 1/2 with support 20: Phi has a zero about 4e-10 outside the
+    # circle, so N/2 = 8192 coefficients leave most of 1/Phi's mass behind
+    unresolved = forward_scatter(VerblunskySeq(a_minus1=-1.0, a=(0.5,) * 20),
+                                 CircleGrid(16384))
+    assert unresolved.tail > 0.1
+    assert forward_scatter(corpus[2], grid4096).tail < 1e-12
+
+
 def test_forward_s_and_D_from_one_polynomial(grid):
     seq = random_complex_seq(np.random.default_rng(3), 5)
     data = forward_scatter(seq, grid)
