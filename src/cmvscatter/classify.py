@@ -236,7 +236,7 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
     glm_column_norm = None
     if hs_member and seq is not None:
         try:
-            glm = glm_matrix(seq, 16, min(M, 128), grid=grid)
+            glm = glm_matrix(data, 16, min(M, 128))
             glm_column_norm = float(np.max(np.linalg.norm(glm.mat, axis=0)))
         except (RegularityError, RuntimeError):
             glm_column_norm = None

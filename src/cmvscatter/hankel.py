@@ -5,17 +5,16 @@ and the regularity test that decides the one-to-one regime.
 Matrix convention: H[k, j] = shat(-(k+j+1)) for the bases {t^j} of the
 analytic half and {t^(-(k+1))} of the co-analytic half, so H depends only
 on the negative Fourier coefficients of the symbol and is complex symmetric.
-Multiplying the symbol by t^n shifts the entries by n anti-diagonals, so one
-reversed Cholesky factor of a wide master (ShiftFactor) serves every shifted
-solve of the inverse map.
+Multiplying the symbol by t^n shifts the entries by n anti-diagonals, so the
+n-shifted operator is the column block W[:, n:] of one wide master W.
 
 Every regularity decision rests on the gap 1 - ||H||.  The norm comes from
-hankel_norm: Lanczos on H*H with full reorthogonalization.  The single
-solves (I - r^2 H*H)^{-1} 1 behind the regularity test and the point
-evaluation run conjugate gradients on the same operator.  Each Hankel
-matvec in both is an FFT correlation with the zero-padded coefficients, so
-neither forms the operator, its Gram or a factor; only the shifted solves
-of the inverse map (ShiftFactor) stay dense.
+hankel_norm: Lanczos on H*H with full reorthogonalization.  Every solve
+with I - r^2 W_n* W_n, square (solve_block) or shifted (the inverse map),
+runs the one conjugate-gradient loop _cg.  Each Hankel matvec in both is an
+FFT correlation with the zero-padded coefficients, so no operator, Gram or
+factor is formed.  By Kronecker's theorem a symbol of degree p has a
+Hankel operator of rank at most p, so CG stops after about p - n steps.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .circle import CircleFunction, DiskFunction, default_grid, disk_from_boundary
-from .errors import NearSingularError, NumericalError, RegularityError
+from .errors import NearSingularError, NumericalError
 
 
 #: Lanczos steps hankel_norm may take before it reports non-convergence.
@@ -138,7 +136,7 @@ def hankel_from_symbol(s, M, max_shift=0):
             raise ValueError(
                 f"grid of size {n} resolves {avail} negative coefficients; "
                 f"order {M} with shift {max_shift} needs {need}")
-        neg = np.array([c[-m] for m in range(1, avail + 1)])
+        neg = c[: -avail - 1: -1]
     else:
         neg = np.asarray(s, dtype=np.complex128)
         if len(neg) < 2 * M - 1 + max_shift:
@@ -147,17 +145,59 @@ def hankel_from_symbol(s, M, max_shift=0):
     return HankelOp(M, neg)
 
 
+def _cg(corr, rows, cols, shift, rhs, r, sigma):
+    """x = (I - r^2 W_n* W_n)^{-1} rhs by conjugate gradients from 0, where
+    W_n = W[:, shift:shift + cols] is a rows x cols block of the master
+    W[k, j] = c[k + j] and corr is the master's correlator.
+
+    W_n x = W [0_shift; x] and W_n* z = (W* z)[shift:] with
+    W* z = conj(W^T conj z), W^T of the same Hankel structure, so one fft of
+    the master serves every shift.  CG stops when the recurrence residual
+    reaches 1e-15 max(||rhs||, 1) or after cols steps.  A step with
+    p*Ap <= 0 raises NumericalError, and so does a true residual
+    ||A x - rhs||, recomputed with the same operator, above
+    1e-10 max(||rhs||, 1) / (1 - (r sigma)^2), sigma bounding ||W_n||.
+    """
+    width = shift + cols
+    pad = np.zeros(width, dtype=np.complex128)
+
+    def system(v):
+        pad[shift:] = v
+        return v - (r * r) * np.conj(corr(np.conj(corr(pad, rows)), width))[shift:]
+
+    scale = max(float(np.linalg.norm(rhs)), 1.0)
+    x = np.zeros(cols, dtype=np.complex128)
+    res = np.array(rhs, dtype=np.complex128)
+    p = res.copy()
+    rs = np.vdot(res, res).real
+    for _ in range(cols):
+        if np.sqrt(rs) <= 1e-15 * scale:
+            break
+        ap = system(p)
+        curvature = np.vdot(p, ap).real
+        if not curvature > 0.0:
+            raise NumericalError(
+                f"block system is not positive definite (p*Ap = {curvature:.3e})")
+        alpha = rs / curvature
+        x += alpha * p
+        res -= alpha * ap
+        rs_next = np.vdot(res, res).real
+        p = res + (rs_next / rs) * p
+        rs = rs_next
+    resid = float(np.linalg.norm(system(x) - rhs))
+    if resid > 1e-10 * scale / max(1.0 - (r * sigma) ** 2, 1e-300):
+        raise NumericalError(
+            f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
+    return x
+
+
 def solve_block(h, rhs="unit_H2", r=1.0):
     """(I - r^2 H*H)^{-1} 1  or  (I - r^2 H H*)^{-1} t-bar by conjugate gradients.
 
-    CG starts from 0 on A = I - r^2 H*H, with H*H x = conj(H conj(H x))
-    because H is complex symmetric; each product with H is an FFT
-    correlation, so no matrix is formed.  It stops when the recurrence
-    residual reaches 1e-15 or after `order` steps, and the true residual
-    ||A x - 1||, recomputed with the same operator, must stay within
-    1e-10 times the condition estimate 1/(1 - (r sigma_max)^2).  The
-    co-analytic solve is the conjugate of the analytic one, since
-    I - r^2 HH* = conj(A).  At r=1 the gap 1 - sigma_max must exceed
+    The analytic solve is _cg on the square operator H, whose condition
+    estimate is 1/(1 - (r sigma_max)^2).  The co-analytic solve is the
+    conjugate of the analytic one, since I - r^2 HH* = conj(I - r^2 H*H)
+    for complex symmetric H.  At r=1 the gap 1 - sigma_max must exceed
     1e-10, otherwise the solve is refused with the measured sigma_max
     attached.
     """
@@ -171,85 +211,9 @@ def solve_block(h, rhs="unit_H2", r=1.0):
             f"sigma_max = {sigma:.12g}; the r=1 solve needs sigma_max < 1 - 1e-10",
             sigma_max=sigma)
     m = h.order
-    corr = _correlator(h.neg[h.shift:][: 2 * m - 1])
-
-    def system(v):
-        return v - (r * r) * np.conj(corr(np.conj(corr(v, m)), m))
-
-    e0 = np.zeros(m, dtype=np.complex128)
-    e0[0] = 1.0
-    x = np.zeros(m, dtype=np.complex128)
-    res, p, rs = e0.copy(), e0.copy(), 1.0
-    for _ in range(m):
-        ap = system(p)
-        curvature = np.vdot(p, ap).real
-        if not curvature > 0.0:
-            raise NumericalError(
-                f"block system is not positive definite (p*Ap = {curvature:.3e})")
-        alpha = rs / curvature
-        x += alpha * p
-        res -= alpha * ap
-        rs_next = np.vdot(res, res).real
-        if np.sqrt(rs_next) <= 1e-15:
-            break
-        p = res + (rs_next / rs) * p
-        rs = rs_next
-    resid = float(np.linalg.norm(system(x) - e0))
-    cond_est = 1.0 / max(1.0 - (r * sigma) ** 2, 1e-300)
-    if resid > 1e-10 * cond_est:
-        raise NumericalError(
-            f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
+    e0 = np.eye(m, 1, dtype=np.complex128)[:, 0]
+    x = _cg(_correlator(h.neg[h.shift:][: 2 * m - 1]), m, m, 0, e0, r, sigma)
     return x if rhs == "unit_H2" else np.conj(x)
-
-
-def reversed_cholesky(a):
-    """Upper-triangular R with a = R R*, so trailing blocks of R factor those
-    of a; raises NumericalError when a is not positive definite."""
-    try:
-        return scipy.linalg.cholesky(a[::-1, ::-1], lower=True)[::-1, ::-1]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"reversed Cholesky factorization failed: {exc}") from exc
-
-
-@dataclass
-class ShiftFactor:
-    """A = I - W*W = R R* for the master W[k, j] = neg[k + j] (M x M').
-    The n-shifted operator is W_n = W[:, n:], its Gram A_n = A[n:, n:] is
-    factored by R[n:, n:], and L = R^{-*} is the GLM/L factor."""
-
-    w: np.ndarray = field(repr=False)
-    r: np.ndarray = field(repr=False)
-    sigma_max: float
-
-    def solve(self, n, y):
-        """A_n^{-1} y by two triangular solves with R[n:, n:]."""
-        rn = self.r[n:, n:]
-        x = scipy.linalg.solve_triangular(rn, scipy.linalg.solve_triangular(rn, y), trans="C")
-        resid = float(np.linalg.norm(x - self.w[:, n:].conj().T @ (self.w[:, n:] @ x) - y))
-        if resid > 1e-10 * max(np.linalg.norm(y), 1.0) / (1.0 - self.sigma_max ** 2):
-            raise NumericalError(
-                f"shift-{n} solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
-        return x
-
-    def u(self, n):
-        """u_n = A_n^{-1} e0; the first solve is exactly e0 / R[n, n], so
-        u_n[0] = 1 / R[n, n]^2."""
-        return self.solve(n, np.eye(len(self.r) - n, 1, dtype=np.complex128)[:, 0])
-
-
-def shift_factor(s, M, max_shift):
-    """ShiftFactor of the order-M master with M' = M + max_shift columns.
-
-    Every shifted truncation is a submatrix of W, so one norm gates them all:
-    1 - sigma_max(W) <= 1e-8 raises RegularityError.
-    """
-    neg = hankel_from_symbol(s, M, max_shift=max_shift).neg
-    w = neg[np.add.outer(np.arange(M), np.arange(M + max_shift))]
-    sigma = hankel_norm(neg, M, M + max_shift)
-    if 1.0 - sigma <= 1e-8:
-        raise RegularityError(
-            f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")
-    return ShiftFactor(w, reversed_cholesky(np.eye(M + max_shift) - w.conj().T @ w), sigma)
 
 
 def _taylor_on_grid(vec, grid):

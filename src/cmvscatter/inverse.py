@@ -1,12 +1,14 @@
 """Inverse scattering: coefficients back from the scattering function.
 
-The per-order data all comes from one factorization (hankel.ShiftFactor):
-the t^n-shifted Gram is a trailing block of A = I - W*W = R R*, so each
-shift costs one or two triangular solves.  R's diagonal gives the rho
-ladder, and the kernel ratio at the origin the twisted coefficient
-b_n = -conj(a_{-1}) a_n; the unimodular a_{-1} itself is not visible to
-the Hankel operator (it only sees negative coefficients), so it is read off
-the full scattering samples by the pointwise identity
+The per-order data all comes from the shifted solves
+u_n = (I - W_n* W_n)^{-1} e0, where W_n = W[:, n:] is the Hankel operator
+of t^n s and W the wide master, each by conjugate gradients on FFT matvecs
+(hankel._cg) with no matrix formed.  u_n[0] gives the rho ladder,
+rho_n = sqrt(u_{n+1}[0] / u_n[0]), and the kernel ratio at the origin the
+twisted coefficient b_n = -conj(a_{-1}) a_n; the unimodular a_{-1} itself
+is not visible to the Hankel operator (it only sees negative
+coefficients), so it is read off the full scattering samples by the
+pointwise identity
 
     a_{-1} = -(s conj(psi) + psi conj(phi)) / (s phi conj(psi) + psi),
 
@@ -20,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .circle import CircleFunction, outer_boundary_samples
 from .errors import NumericalError, RegularityError
-from .hankel import hankel_from_symbol, regularity_test, shift_factor
+from .hankel import _cg, _correlator, hankel_from_symbol, hankel_norm, regularity_test
 from .opuc import VerblunskySeq, schur_function
 from .scatter import ScatteringData, forward_scatter
 
@@ -58,6 +59,30 @@ class RecoveryReport:
         return obj
 
 
+class _Shifts:
+    """W_n = W[:, n:] for the order-M master W[k, j] = neg[k + j] with
+    M + max_shift columns, never formed.  Every W_n is a submatrix of W, so
+    one norm gates them all: 1 - ||W|| <= 1e-8 raises RegularityError."""
+
+    def __init__(self, s, M, max_shift):
+        self.rows, self.cols = M, M + max_shift
+        self.neg = hankel_from_symbol(s, M, max_shift=max_shift).neg[: M + self.cols - 1]
+        self.sigma = hankel_norm(self.neg, M, self.cols)
+        if 1.0 - self.sigma <= 1e-8:
+            raise RegularityError(
+                f"sigma_max = {self.sigma:.9g}: scattering data is not in the one-to-one regime")
+        self.corr = _correlator(self.neg)
+
+    def solve(self, n, y=None):
+        """(I - W_n* W_n)^{-1} y; u_n for the default y = e0."""
+        y = np.eye(self.cols - n, 1, dtype=np.complex128)[:, 0] if y is None else y
+        return _cg(self.corr, self.rows, self.cols - n, n, y, 1.0, self.sigma)
+
+    def apply(self, n, x):
+        """W_n x = W [0_n; x]."""
+        return self.corr(np.concatenate((np.zeros(n), x)), self.rows)
+
+
 def _kept_nodes(data, halo=3):
     keep = np.ones(data.s.grid.size, dtype=bool)
     keep[data.excluded_nodes(halo)] = False
@@ -75,14 +100,15 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     if M < n_max + 64:
         raise ValueError(f"Hankel order {M} too small for n_max {n_max}; need >= {n_max + 64}")
     grid = s.grid
-    factor = shift_factor(s, M, n_max + 2)
+    shifts = _Shifts(s, M, n_max + 2)
     warnings = []
-    d = np.diag(factor.r).real             # R[n, n] = u_n[0]^(-1/2)
-    rho = d[: n_max + 1] / d[1: n_max + 2]
+    u = [shifts.solve(n) for n in range(n_max + 2)]
+    u0 = np.array([x[0].real for x in u])
+    rho = np.sqrt(u0[1:] / u0[:-1])
     # b_n = -(H_n* (I - H_n H_n*)^{-1} e0)[0] / u_n[0], read off u_n because
     # H*(I - HH*)^{-1} = (I - H*H)^{-1} H* for any truncation shape
-    u = [factor.u(n) for n in range(n_max + 1)]
-    b = np.array([-np.conj(x @ factor.w[0, n:]) / x[0] for n, x in enumerate(u)])
+    row = shifts.neg[: shifts.cols]  # row 0 of W
+    b = np.array([-np.conj(x @ row[n:]) / u0[n] for n, x in enumerate(u[:-1])])
 
     if np.any(np.abs(b) >= 1.0 - 1e-12):
         raise NumericalError(
@@ -137,7 +163,7 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     regular = residual <= residual_tol
     return RecoveryReport(
         a=a, rho=rho, a_minus1=complex(lam), residual=residual,
-        consistency=consistency, sigma_max=factor.sigma_max, regular=regular,
+        consistency=consistency, sigma_max=shifts.sigma, regular=regular,
         a_minus1_std=a_minus1_std, warnings=warnings,
     )
 
@@ -172,26 +198,27 @@ def _as_scattering(source, grid=None):
 def glm_matrix(source, m, M, grid=None, check_regular=True):
     """Columns of the GLM transform in the alternating monomial basis.
 
-    Column n comes from the shared factor's n-shift: rows n, n+2, ... hold
-    u = A_n^{-1} e0 (even n) or v = e0 - W_n q (odd n), rows n+1, n+3, ...
-    hold -W_n u or q = -A_n^{-1} conj(W[0, n:]); odd columns carry the
-    -a_{-1} phase.  The diagonal is rho_0...rho_{n-1}/D(0) up to that phase.
+    Column n comes from the n-shift of the master, with A_n = I - W_n* W_n:
+    rows n, n+2, ... hold u = A_n^{-1} e0 (even n) or v = e0 - W_n q
+    (odd n), rows n+1, n+3, ... hold -W_n u or q = -A_n^{-1} conj(W[0, n:]),
+    one more CG solve; odd columns carry the -a_{-1} phase.  The diagonal
+    is rho_0...rho_{n-1}/D(0) up to that phase.
     """
     data = _as_scattering(source, grid)
     if check_regular:
         rep = regularity_test(s=data.s, d0=data.d0, M=M)
         if not rep.regular:
             raise RegularityError(f"GLM transform needs the regular regime: {rep.reason}")
-    factor = shift_factor(data.s, M, m)
+    shifts = _Shifts(data.s, M, m)
     out = np.zeros((m, m), dtype=np.complex128)
     for n in range(m):
         if n % 2 == 0:
-            first = factor.u(n)
-            second = -(factor.w[:, n:] @ first)
+            first = shifts.solve(n)
+            second = -shifts.apply(n, first)
             scale = 1.0 / np.sqrt(first[0].real)
         else:
-            second = -factor.solve(n, np.conj(factor.w[0, n:]))
-            first = -(factor.w[:, n:] @ second)
+            second = -shifts.solve(n, np.conj(shifts.neg[n: shifts.cols]))
+            first = -shifts.apply(n, second)
             first[0] += 1.0
             scale = -data.a_minus1 / np.sqrt(first[0].real)
         out[n::2, n] = scale * first[: (m - n + 1) // 2]
@@ -203,7 +230,7 @@ def glm_factorization_residual(source, m, M, grid=None, glm=None):
     """Relative Frobenius gap between the reordered block-inverse and GLM * GLM^*.
 
     The reference side is a dense inverse of the square order-M block
-    operator, independent of the shared factor; pass `glm` to reuse a GLM
+    operator, independent of the CG solves; pass `glm` to reuse a GLM
     matrix already built from the same source.
     """
     data = _as_scattering(source, grid)
@@ -218,17 +245,24 @@ def glm_factorization_residual(source, m, M, grid=None, glm=None):
 
 
 def l_matrix(source, m, M, grid=None):
-    """Leading m x m block of L = R^{-*}, with A = I - W*W = R R* and so
-    A^{-1} = L L^*; column n is u_n / sqrt(u_n[0]), L^n_n = sqrt(<A_n^{-1} 1, 1>).
+    """Leading m x m block of L = R^{-*}, with A = I - W*W = R R*, R upper
+    triangular, and so A^{-1} = L L^*; L^n_n = sqrt(<A_n^{-1} 1, 1>).
 
-    Accepts a sequence, ScatteringData, or a sampled s directly (a_{-1} is
-    not involved).  Returns (L, residual of L L^* against a dense solve of A).
+    The trailing block of R^{-*} is the inverse of R's trailing block, so
+    column n of L, from row n down, is u_n / sqrt(u_n[0]) and L is lower
+    triangular by construction.  Accepts a sequence, ScatteringData, or a
+    sampled s directly (a_{-1} is not involved).  Returns (L, residual of
+    L L^* against a dense solve of A).
     """
     s = source if isinstance(source, CircleFunction) else _as_scattering(source, grid).s
-    factor = shift_factor(s, M, m)
-    # the leading block of R^{-1} is the inverse of R's leading block
-    out = scipy.linalg.solve_triangular(factor.r[:m, :m], np.eye(m)).conj().T
-    a = np.eye(len(factor.r)) - factor.w.conj().T @ factor.w
+    shifts = _Shifts(s, M, m)
+    out = np.zeros((m, m), dtype=np.complex128)
+    for n in range(m):
+        u = shifts.solve(n)
+        out[n:, n] = u[: m - n] / np.sqrt(u[0].real)
+        out[n, n] = np.sqrt(u[0].real)
+    w = shifts.neg[np.add.outer(np.arange(M), np.arange(shifts.cols))]
+    a = np.eye(shifts.cols) - w.conj().T @ w
     lead = np.linalg.solve(a, np.eye(len(a))[:, :m])[:m]
     rhs = out @ out.conj().T
     residual = float(np.linalg.norm(lead - rhs) / np.linalg.norm(rhs))

@@ -247,29 +247,34 @@ def test_regularity_monomial_detects_nonuniqueness(grid):
     assert abs(rep.rhs / rep.lhs - 6.0) < 1e-10
 
 
-def test_shift_factor_matches_dense_solves(grid4096):
+def _dense_master(s, m, max_shift):
+    """The m x (m + max_shift) master's coefficients and its dense matrix."""
+    neg = hankel_from_symbol(s, m, max_shift=max_shift).neg[: 2 * m - 1 + max_shift]
+    return neg, np.array([[neg[k + j] for j in range(m + max_shift)] for k in range(m)])
+
+
+def test_shifted_cg_matches_dense_solves(grid4096):
     # complex coefficients and a random unimodular a_minus1: every shifted
-    # quantity read off the one factor matches explicit dense solves of the
-    # trailing Gram block and of I - W_n W_n*
+    # solve u_n = (I - W_n* W_n)^{-1} e0 of the one CG loop matches an
+    # explicit dense solve of the trailing Gram block, and what recovery
+    # reads off them matches dense solves of I - W_n W_n*
     from cmvscatter import recover_verblunsky
-    from cmvscatter.hankel import shift_factor
+    from cmvscatter.hankel import _cg, _correlator, hankel_norm
 
     rng = np.random.default_rng(31)
     seq = random_complex_seq(rng, 5)
     s = _symbol(grid4096, seq)
     m, n_max = 128, 8
-    factor = shift_factor(s, m, n_max + 2)
-    neg = hankel_from_symbol(s, m, max_shift=n_max + 2).neg
-    w = np.array([[neg[k + j] for j in range(m + n_max + 2)] for k in range(m)])
-    assert np.array_equal(factor.w, w)
+    neg, w = _dense_master(s, m, n_max + 2)
+    corr, sigma = _correlator(neg), hankel_norm(neg, m, w.shape[1])
     a = np.eye(w.shape[1]) - w.conj().T @ w
     u = []
     for n in range(n_max + 2):
         e0 = np.zeros(w.shape[1] - n, dtype=complex)
         e0[0] = 1.0
         u.append(np.linalg.solve(a[n:, n:], e0))
-        assert np.max(np.abs(factor.u(n) - u[-1])) < 1e-12
-        assert abs(u[-1][0] - 1.0 / factor.r[n, n] ** 2) < 1e-12
+        x = _cg(corr, m, w.shape[1] - n, n, e0, 1.0, sigma)
+        assert np.max(np.abs(x - u[-1])) < 1e-12
     rep = recover_verblunsky(s, n_max=n_max, M=m)
     rho = [np.sqrt(u[n + 1][0].real / u[n][0].real) for n in range(n_max + 1)]
     assert np.max(np.abs(rep.rho - rho)) < 1e-12
@@ -283,27 +288,33 @@ def test_shift_factor_matches_dense_solves(grid4096):
     assert abs(rep.a_minus1 - seq.a_minus1) < 1e-6
 
 
-def test_shift_factor_gates_on_the_master_norm(grid4096):
-    from cmvscatter import RegularityError
-    from cmvscatter.hankel import shift_factor
+def test_shifted_solves_gate_on_the_master_norm(grid4096):
+    from cmvscatter import RegularityError, l_matrix
+    from cmvscatter.inverse import _Shifts
 
     s = CircleFunction(grid4096, 1.0 / grid4096.nodes)  # shat(-1) = 1
     with pytest.raises(RegularityError, match="one-to-one"):
-        shift_factor(s, 64, 4)
+        _Shifts(s, 64, 4)
+    with pytest.raises(RegularityError, match="one-to-one"):
+        l_matrix(s, 4, 64)
 
 
-def test_reversed_cholesky():
-    from cmvscatter import NumericalError
-    from cmvscatter.hankel import reversed_cholesky
+def test_shifted_cg_near_singular_matches_dense():
+    # the s of jacobi(2, 0, 400) with the s-CSV classify sizes: 18 shifts of
+    # an M = 512 master with sigma_max = 1 - 4e-7, condition about 1e6
+    from cmvscatter import CircleGrid
+    from cmvscatter.classify import jacobi_verblunsky
+    from cmvscatter.inverse import _Shifts
 
-    rng = np.random.default_rng(32)
-    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    a = x @ x.conj().T + np.eye(6)
-    r = reversed_cholesky(a)
-    assert np.array_equal(r, np.triu(r))
-    assert np.max(np.abs(r @ r.conj().T - a)) < 1e-12
-    with pytest.raises(NumericalError, match="Cholesky"):
-        reversed_cholesky(np.diag([1.0, -1.0, 2.0]).astype(complex))
+    s = _symbol(CircleGrid(16384), jacobi_verblunsky(2.0, 0.0, 400))
+    m, shifts = 512, 18
+    master = _Shifts(s, m, shifts)
+    assert 1.0 - master.sigma < 1e-6
+    w = _dense_master(s, m, shifts)[1]
+    a = np.eye(w.shape[1]) - w.conj().T @ w
+    for n in range(shifts):
+        ref = np.linalg.solve(a[n:, n:], np.eye(w.shape[1] - n, 1)[:, 0])
+        assert np.linalg.norm(master.solve(n) - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def _dense_norm(neg, rows, cols):
@@ -403,6 +414,18 @@ def test_solve_block_refuses_indefinite_system():
     neg[0] = 2.0  # sigma_max 2, so I - 0.81 H*H has the eigenvalue -2.24
     with pytest.raises(NumericalError, match="positive definite"):
         solve_block(HankelOp(16, neg), "unit_H2", r=0.9)
+
+
+def test_cg_refuses_an_unconverged_residual():
+    # K stands for both W and W^T, which is no adjoint pair when K is not
+    # symmetric: the recurrence residual vanishes in 3 steps but the true
+    # residual of the non-Hermitian system does not, and the gate refuses
+    from cmvscatter import NumericalError
+    from cmvscatter.hankel import _cg
+
+    k = 0.3 * np.random.default_rng(52).normal(size=(3, 3))
+    with pytest.raises(NumericalError, match="condition estimate"):
+        _cg(lambda x, m: (k @ x)[:m], 3, 3, 0, np.eye(3, 1)[:, 0], 1.0, 0.5)
 
 
 def test_regularity_long_jacobi_matches_dense():

@@ -209,14 +209,15 @@ def test_l_matrix_factors_the_master_inverse(grid4096):
     # L is the leading block of R^{-*}, so L L* equals the leading block of
     # A^{-1} for the wide master A = I - W*W exactly, not just to the
     # truncation error
-    from cmvscatter.hankel import shift_factor
+    from cmvscatter import hankel_from_symbol
 
     rng = np.random.default_rng(33)
     seq = random_complex_seq(rng, 4)
     s = forward_scatter(seq, grid4096).s
     m, M = 8, 128
     mat, residual = l_matrix(s, m, M)
-    w = shift_factor(s, M, m).w
+    neg = hankel_from_symbol(s, M, max_shift=m).neg
+    w = neg[np.add.outer(np.arange(M), np.arange(M + m))]
     inv = np.linalg.inv(np.eye(M + m) - w.conj().T @ w)
     assert np.array_equal(mat, np.tril(mat))
     assert np.max(np.abs(mat @ mat.conj().T - inv[:m, :m])) < 1e-12
@@ -230,3 +231,44 @@ def test_glm_residual_reuses_a_built_matrix(grid):
     reused = glm_factorization_residual(data, 8, 128, glm=glm)
     assert abs(reused - glm_factorization_residual(data, 8, 128)) < 1e-15
     assert reused < 1e-12
+
+
+def test_glm_odd_columns_match_dense_solves(grid4096):
+    # complex coefficients and a random unimodular a_minus1: each odd column
+    # takes one more CG solve with right-hand side conj(W[0, n:]), checked
+    # against dense solves of the trailing Gram block of the master
+    from cmvscatter import hankel_from_symbol
+
+    rng = np.random.default_rng(34)
+    seq = random_complex_seq(rng, 5)
+    data = forward_scatter(seq, grid4096)
+    m, M = 10, 128
+    glm = glm_matrix(data, m, M)
+    neg = hankel_from_symbol(data.s, M, max_shift=m).neg
+    w = neg[np.add.outer(np.arange(M), np.arange(M + m))]
+    for n in range(1, m, 2):
+        wn = w[:, n:]
+        q = -np.linalg.solve(np.eye(M + m - n) - wn.conj().T @ wn, np.conj(w[0, n:]))
+        v = -(wn @ q)
+        v[0] += 1.0
+        scale = -seq.a_minus1 / np.sqrt(v[0].real)
+        assert np.max(np.abs(glm.mat[n::2, n] - scale * v[: (m - n + 1) // 2])) < 1e-12
+        assert np.max(np.abs(glm.mat[n + 1::2, n] - scale * q[: (m - n) // 2]), initial=0.0) < 1e-12
+
+
+def test_inverse_map_needs_no_scipy_linalg(grid, monkeypatch):
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg called on the inverse path")
+
+    for name in dir(scipy.linalg):
+        if not name.startswith("_") and callable(getattr(scipy.linalg, name)):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+    seq = VerblunskySeq(a_minus1=np.exp(0.4j), a=(0.3 + 0.2j, -0.25j, 0.1))
+    data = forward_scatter(seq, grid)
+    rep = recover_verblunsky(data.s, n_max=6, M=128)
+    assert np.max(np.abs(rep.a[:3] - np.asarray(seq.a))) < 1e-6
+    assert glm_factorization_residual(data, 8, 128, glm=glm_matrix(data, 8, 128)) < 1e-12
+    mat, residual = l_matrix(data.s, 8, 128)
+    assert residual < 1e-12
