@@ -200,7 +200,7 @@ class DiskFunction:
         return CircleFunction(grid, np.fft.ifft(spec) * n)
 
 
-def disk_from_boundary(samples, grid, kind="interior", max_len=None):
+def disk_from_boundary(samples, grid, kind="interior"):
     """One-sided coefficients of boundary samples known to be analytic.
 
     The wrong-sided spectral mass is reported back as `tail`; callers that
@@ -209,13 +209,11 @@ def disk_from_boundary(samples, grid, kind="interior", max_len=None):
     c = np.fft.fft(np.asarray(samples, dtype=np.complex128)) / grid.size
     n = grid.size
     half = n // 2
-    if max_len is None:
-        max_len = half
     if kind == "interior":
-        keep = c[:max_len]
+        keep = c[:half]
         wrong = np.sum(np.abs(c[half:]) ** 2)
     else:
-        keep = np.concatenate(([c[0]], c[-1: -max_len: -1]))
+        keep = np.concatenate(([c[0]], c[-1: -half: -1]))
         wrong = np.sum(np.abs(c[1:half]) ** 2)
     total = np.sum(np.abs(c) ** 2)
     tail = float(np.sqrt(wrong / max(total, 1e-300)))
@@ -253,7 +251,7 @@ def outer_from_modulus_squared(w, grid=None):
     """
     grid = grid or w.grid
     boundary = outer_boundary_samples(w, grid)
-    out, _ = disk_from_boundary(boundary, grid, kind="interior", max_len=grid.size // 2)
+    out, _ = disk_from_boundary(boundary, grid, kind="interior")
     return out
 
 

@@ -30,10 +30,7 @@ def besov_half_norm(f):
 
     Accepts a CircleFunction or a coefficient array in numpy.fft layout.
     """
-    c = f.coeffs() if isinstance(f, CircleFunction) else np.asarray(f, dtype=np.complex128)
-    n = len(c)
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    return float(np.sum(k * np.abs(c) ** 2))
+    return _windowed_besov(f)[0]
 
 
 def _windowed_besov(f):

@@ -6,15 +6,16 @@ Matrix convention: H[k, j] = shat(-(k+j+1)) for the bases {t^j} of the
 analytic half and {t^(-(k+1))} of the co-analytic half, so H depends only
 on the negative Fourier coefficients of the symbol and is complex symmetric.
 Multiplying the symbol by t^n shifts the entries by n anti-diagonals, so the
-n-shifted operator is the column block W[:, n:] of one wide master W.
+n-shifted operator is the column block W_n = W[:, n:] of one wide master W.
 
-Every regularity decision rests on the gap 1 - ||H||.  The norm comes from
-hankel_norm: Lanczos on H*H with full reorthogonalization.  Every solve
-with I - r^2 W_n* W_n, square (solve_block) or shifted (the inverse map),
-runs the one conjugate-gradient loop _cg.  Each Hankel matvec in both is an
-FFT correlation with the zero-padded coefficients, so no operator, Gram or
-factor is formed.  By Kronecker's theorem a symbol of degree p has a
-Hankel operator of rank at most p, so CG stops after about p - n steps.
+HankelOp is that one operator.  It takes the FFT of its coefficients once,
+and every product with W or W* is an FFT correlation against it, so no
+operator, Gram or factor is formed.  Its norm, by Lanczos on W*W with full
+reorthogonalization, is cached and gates every regularity decision through
+the gap 1 - ||W||.  Every solve with I - r^2 W_n* W_n, square (solve_block)
+or shifted (the inverse map), runs its one conjugate-gradient loop.  By
+Kronecker's theorem a symbol of degree p has a Hankel operator of rank at
+most p, so CG stops after about p - n steps.
 """
 
 from __future__ import annotations
@@ -27,103 +28,159 @@ from .circle import CircleFunction, DiskFunction, default_grid, disk_from_bounda
 from .errors import NearSingularError, NumericalError
 
 
-#: Lanczos steps hankel_norm may take before it reports non-convergence.
+#: Lanczos steps sigma_max may take before it reports non-convergence.
 LANCZOS_MAX_STEPS = 200
-
-
-def _correlator(c):
-    """corr(x, m)[k] = sum_j c[k + j] x[j] for k < m, by two FFTs of length
-    n >= len(c) with fft(c) taken once.  Exact (no index wraps) while
-    m + len(x) - 1 <= len(c); W x for W[k, j] = c[k + j] is corr(x, rows)."""
-    n = 1 << (len(c) - 1).bit_length()
-    spec = np.fft.fft(c, n) * n
-
-    def corr(x, m):
-        return np.fft.ifft(spec * np.fft.ifft(x, n))[:m]
-
-    return corr
-
-
-def hankel_norm(neg, rows, cols):
-    """||W|| for the rows x cols Hankel matrix W[k, j] = neg[k + j].
-
-    Lanczos on W*W with full reorthogonalization, never forming W: W x is
-    the correlation of the zero-padded neg with x (two FFTs, with fft(neg)
-    taken once), and W* z = conj(W^T conj z) where W^T has the same Hankel
-    structure.  The start vector is fixed and seeded, so repeated calls
-    return the same bits.  Stops when the Ritz residual beta_k |s_k| falls
-    to 1e-15 times the top Ritz value, or when the Krylov space fills all
-    cols dimensions; reaching LANCZOS_MAX_STEPS first raises NumericalError
-    rather than returning an unconverged value.
-    """
-    c = np.asarray(neg, dtype=np.complex128)[: rows + cols - 1]
-    if len(c) < rows + cols - 1:
-        raise ValueError(f"need {rows + cols - 1} coefficients, got {len(c)}")
-    if rows == 0 or cols == 0 or not np.any(c):
-        return 0.0
-    corr = _correlator(c)
-    re, im = np.random.default_rng(0).standard_normal((2, cols))
-    steps = min(cols, LANCZOS_MAX_STEPS)
-    basis = np.empty((steps, cols), dtype=np.complex128)
-    basis[0] = re + 1j * im
-    basis[0] /= np.linalg.norm(basis[0])
-    alpha = np.zeros(steps)
-    beta = np.zeros(steps)
-    for k in range(steps):
-        w = np.conj(corr(np.conj(corr(basis[k], rows)), cols))
-        alpha[k] = np.vdot(basis[k], w).real
-        q = basis[: k + 1]
-        for _ in range(2):
-            w -= q.T @ (q.conj() @ w)
-        beta[k] = np.linalg.norm(w)
-        off = beta[:k]
-        theta, s = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(off, 1) + np.diag(off, -1))
-        if beta[k] * abs(s[-1, -1]) <= 1e-15 * abs(theta[-1]) or k + 1 == cols:
-            return float(np.sqrt(max(theta[-1], 0.0)))
-        if k + 1 < steps:
-            basis[k + 1] = w / beta[k]
-    raise NumericalError(
-        f"Hankel norm Lanczos did not converge in {steps} steps "
-        f"(Ritz residual {beta[-1] * abs(s[-1, -1]):.3e})")
 
 
 @dataclass
 class HankelOp:
-    """Order-M truncation; keeps the symbol's negative coefficients so the
-    operator family of shifted symbols comes from one array."""
+    """W[k, j] = neg[shift + k + j] with `order` rows and `cols` columns,
+    square unless cols is given; neg[m-1] = shat(-m).  The shifted
+    operators W_n = W[:, n:] are column blocks, so one FFT of the
+    coefficients serves the norm, every solve and every product."""
 
     order: int
-    neg: np.ndarray = field(repr=False)  # neg[m-1] = shat(-m)
+    neg: np.ndarray = field(repr=False)
     shift: int = 0
+    cols: int = None
     _mat: np.ndarray = field(default=None, repr=False)
     _sigma: float = field(default=None, repr=False)
+    _spec: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.cols = self.order if self.cols is None else self.cols
+        need = self.shift + self.order + self.cols - 1
+        if need > len(self.neg):
+            raise ValueError(f"need {need} coefficients, got {len(self.neg)}")
 
     @property
     def mat(self):
         if self._mat is None:
-            m = self.order
-            idx = np.add.outer(np.arange(m), np.arange(m)) + self.shift
+            idx = np.add.outer(np.arange(self.order), np.arange(self.cols)) + self.shift
             self._mat = self.neg[idx]
             self._mat.setflags(write=False)
         return self._mat
 
     def shifted(self, n):
-        """Hankel operator of the symbol times t^n (exact index shift)."""
-        if self.shift + n + 2 * self.order - 1 > len(self.neg):
-            raise ValueError(f"shift {n} exceeds the stored coefficient window")
+        """Square order-M operator of the symbol times t^n (exact index shift)."""
         return HankelOp(self.order, self.neg, self.shift + n)
-
-    def sigma_max(self):
-        if self._sigma is None:
-            self._sigma = hankel_norm(self.neg[self.shift:], self.order, self.order)
-        return self._sigma
 
     def frobenius_sq(self):
         return float(np.sum(np.abs(self.mat) ** 2))
 
+    def _corr(self, x, m):
+        """(V x)[:m] for V[k, j] = c[k + j], c the coefficients W reads, by
+        two FFTs of a length n >= len(c), so no index wraps while
+        m + len(x) - 1 <= len(c).  W x is _corr(x, order)."""
+        if self._spec is None:
+            c = np.asarray(self.neg[self.shift: self.shift + self.order + self.cols - 1],
+                           dtype=np.complex128)
+            n = 1 << (len(c) - 1).bit_length()
+            self._spec = np.fft.fft(c, n) * n
+        return np.fft.ifft(self._spec * np.fft.ifft(x, len(self._spec)))[:m]
+
+    def _gram(self, x):
+        """W*W x, with W* z = conj(W^T conj z) and W^T of the same Hankel structure."""
+        return np.conj(self._corr(np.conj(self._corr(x, self.order)), self.cols))
+
+    def apply(self, n, x):
+        """W_n x = W [0_n; x]."""
+        return self._corr(np.concatenate((np.zeros(n), x)), self.order)
+
+    def sigma_max(self):
+        """||W|| by Lanczos on W*W with full reorthogonalization, cached.
+
+        The start vector is fixed and seeded, so repeated calls return the
+        same bits.  Stops when the Ritz residual beta_k |s_k| falls to 1e-15
+        times the top Ritz value, or when the Krylov space fills all cols
+        dimensions; reaching LANCZOS_MAX_STEPS first raises NumericalError
+        rather than returning an unconverged value.
+        """
+        if self._sigma is not None:
+            return self._sigma
+        rows, cols = self.order, self.cols
+        if rows == 0 or cols == 0 or not np.any(self.neg[self.shift: self.shift + rows + cols - 1]):
+            self._sigma = 0.0
+            return self._sigma
+        re, im = np.random.default_rng(0).standard_normal((2, cols))
+        steps = min(cols, LANCZOS_MAX_STEPS)
+        basis = np.empty((steps, cols), dtype=np.complex128)
+        basis[0] = re + 1j * im
+        basis[0] /= np.linalg.norm(basis[0])
+        alpha = np.zeros(steps)
+        beta = np.zeros(steps)
+        for k in range(steps):
+            w = self._gram(basis[k])
+            alpha[k] = np.vdot(basis[k], w).real
+            q = basis[: k + 1]
+            for _ in range(2):
+                w -= q.T @ (q.conj() @ w)
+            beta[k] = np.linalg.norm(w)
+            off = beta[:k]
+            theta, s = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(off, 1) + np.diag(off, -1))
+            if beta[k] * abs(s[-1, -1]) <= 1e-15 * abs(theta[-1]) or k + 1 == cols:
+                self._sigma = float(np.sqrt(max(theta[-1], 0.0)))
+                return self._sigma
+            if k + 1 < steps:
+                basis[k + 1] = w / beta[k]
+        raise NumericalError(
+            f"Hankel norm Lanczos did not converge in {steps} steps "
+            f"(Ritz residual {beta[-1] * abs(s[-1, -1]):.3e})")
+
+    def solve(self, n=0, rhs=None, r=1.0):
+        """x = (I - r^2 W_n* W_n)^{-1} rhs by conjugate gradients from 0;
+        rhs defaults to e0, which gives u_n.
+
+        W_n x = W [0_n; x] and W_n* z = (W* z)[n:].  CG stops when the
+        recurrence residual reaches 1e-15 max(||rhs||, 1) or after cols - n
+        steps.  A step with p*Ap <= 0 raises NumericalError, and so does a
+        true residual ||A x - rhs||, recomputed with the same operator,
+        above 1e-10 max(||rhs||, 1) / (1 - (r sigma)^2), where
+        sigma = ||W|| bounds ||W_n||.
+        """
+        cols = self.cols - n
+        rhs = np.eye(cols, 1, dtype=np.complex128)[:, 0] if rhs is None else rhs
+        pad = np.zeros(self.cols, dtype=np.complex128)
+
+        def system(v):
+            pad[n:] = v
+            return v - (r * r) * self._gram(pad)[n:]
+
+        scale = max(float(np.linalg.norm(rhs)), 1.0)
+        x = np.zeros(cols, dtype=np.complex128)
+        res = np.array(rhs, dtype=np.complex128)
+        p = res.copy()
+        rs = np.vdot(res, res).real
+        for _ in range(cols):
+            if np.sqrt(rs) <= 1e-15 * scale:
+                break
+            ap = system(p)
+            curvature = np.vdot(p, ap).real
+            if not curvature > 0.0:
+                raise NumericalError(
+                    f"block system is not positive definite (p*Ap = {curvature:.3e})")
+            alpha = rs / curvature
+            x += alpha * p
+            res -= alpha * ap
+            rs_next = np.vdot(res, res).real
+            p = res + (rs_next / rs) * p
+            rs = rs_next
+        resid = float(np.linalg.norm(system(x) - rhs))
+        if resid > 1e-10 * scale / max(1.0 - (r * self.sigma_max()) ** 2, 1e-300):
+            raise NumericalError(
+                f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
+        return x
+
+
+def hankel_norm(neg, rows, cols):
+    """||W|| for the rows x cols Hankel matrix W[k, j] = neg[k + j]
+    (HankelOp.sigma_max, never forming W)."""
+    return HankelOp(rows, np.asarray(neg, dtype=np.complex128), cols=cols).sigma_max()
+
 
 def hankel_from_symbol(s, M, max_shift=0):
-    """Order-M Hankel matrix of a circle function's negative coefficients.
+    """The M x (M + max_shift) master of a circle function's negative
+    coefficients; square by default.
 
     Requires the grid to resolve frequencies down to -(2M - 1 + max_shift).
     """
@@ -139,67 +196,17 @@ def hankel_from_symbol(s, M, max_shift=0):
         neg = c[: -avail - 1: -1]
     else:
         neg = np.asarray(s, dtype=np.complex128)
-        if len(neg) < 2 * M - 1 + max_shift:
-            raise ValueError(
-                f"need {2 * M - 1 + max_shift} negative coefficients, got {len(neg)}")
-    return HankelOp(M, neg)
-
-
-def _cg(corr, rows, cols, shift, rhs, r, sigma):
-    """x = (I - r^2 W_n* W_n)^{-1} rhs by conjugate gradients from 0, where
-    W_n = W[:, shift:shift + cols] is a rows x cols block of the master
-    W[k, j] = c[k + j] and corr is the master's correlator.
-
-    W_n x = W [0_shift; x] and W_n* z = (W* z)[shift:] with
-    W* z = conj(W^T conj z), W^T of the same Hankel structure, so one fft of
-    the master serves every shift.  CG stops when the recurrence residual
-    reaches 1e-15 max(||rhs||, 1) or after cols steps.  A step with
-    p*Ap <= 0 raises NumericalError, and so does a true residual
-    ||A x - rhs||, recomputed with the same operator, above
-    1e-10 max(||rhs||, 1) / (1 - (r sigma)^2), sigma bounding ||W_n||.
-    """
-    width = shift + cols
-    pad = np.zeros(width, dtype=np.complex128)
-
-    def system(v):
-        pad[shift:] = v
-        return v - (r * r) * np.conj(corr(np.conj(corr(pad, rows)), width))[shift:]
-
-    scale = max(float(np.linalg.norm(rhs)), 1.0)
-    x = np.zeros(cols, dtype=np.complex128)
-    res = np.array(rhs, dtype=np.complex128)
-    p = res.copy()
-    rs = np.vdot(res, res).real
-    for _ in range(cols):
-        if np.sqrt(rs) <= 1e-15 * scale:
-            break
-        ap = system(p)
-        curvature = np.vdot(p, ap).real
-        if not curvature > 0.0:
-            raise NumericalError(
-                f"block system is not positive definite (p*Ap = {curvature:.3e})")
-        alpha = rs / curvature
-        x += alpha * p
-        res -= alpha * ap
-        rs_next = np.vdot(res, res).real
-        p = res + (rs_next / rs) * p
-        rs = rs_next
-    resid = float(np.linalg.norm(system(x) - rhs))
-    if resid > 1e-10 * scale / max(1.0 - (r * sigma) ** 2, 1e-300):
-        raise NumericalError(
-            f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
-    return x
+    return HankelOp(M, neg, cols=M + max_shift)
 
 
 def solve_block(h, rhs="unit_H2", r=1.0):
     """(I - r^2 H*H)^{-1} 1  or  (I - r^2 H H*)^{-1} t-bar by conjugate gradients.
 
-    The analytic solve is _cg on the square operator H, whose condition
-    estimate is 1/(1 - (r sigma_max)^2).  The co-analytic solve is the
-    conjugate of the analytic one, since I - r^2 HH* = conj(I - r^2 H*H)
-    for complex symmetric H.  At r=1 the gap 1 - sigma_max must exceed
-    1e-10, otherwise the solve is refused with the measured sigma_max
-    attached.
+    The analytic solve is h.solve, whose condition estimate is
+    1/(1 - (r sigma_max)^2).  The co-analytic solve is the conjugate of the
+    analytic one, since I - r^2 HH* = conj(I - r^2 H*H) for complex
+    symmetric H.  At r=1 the gap 1 - sigma_max must exceed 1e-10, otherwise
+    the solve is refused with the measured sigma_max attached.
     """
     if rhs not in ("unit_H2", "unit_H2minus"):
         raise ValueError(f"unknown rhs selector {rhs!r}")
@@ -210,9 +217,7 @@ def solve_block(h, rhs="unit_H2", r=1.0):
         raise NearSingularError(
             f"sigma_max = {sigma:.12g}; the r=1 solve needs sigma_max < 1 - 1e-10",
             sigma_max=sigma)
-    m = h.order
-    e0 = np.eye(m, 1, dtype=np.complex128)[:, 0]
-    x = _cg(_correlator(h.neg[h.shift:][: 2 * m - 1]), m, m, 0, e0, r, sigma)
+    x = h.solve(0, r=r)
     return x if rhs == "unit_H2" else np.conj(x)
 
 
@@ -251,7 +256,7 @@ def phi_h(h, grid=None, g=None):
     grid = grid or default_grid()
     g = solve_block(h, "unit_H2") if g is None else g
     # H* conj(g) = conj(H g): H is complex symmetric
-    q = -np.conj(_correlator(h.neg[h.shift:][: 2 * h.order - 1])(g, h.order))
+    q = -np.conj(h.apply(0, g))
     phi_t = grid.nodes * _taylor_on_grid(q, grid) / _taylor_on_grid(g, grid)
     phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
     coef = np.array(phi.coef)
@@ -295,9 +300,9 @@ def aak_limit_sweep(h, radii=(0.9, 0.99, 0.999), blowup=1e6):
 @dataclass
 class RegularityReport:
     regular: bool
-    lhs: float          # <(I - H*H)^{-1} 1, 1>
+    lhs: float          # <(I - H*H)^{-1} 1, 1> at the larger order solved
     rhs: float          # 1 / D(0)^2
-    sigma_max: float
+    sigma_max: float    # of the order-M truncation
     converged: bool     # truncation stability between orders M and 2M
     reason: str = ""
     r_sweep: list = None
@@ -308,7 +313,10 @@ def regularity_test(seq=None, s=None, d0=None, M=256, grid=None, tol=1e-4):
 
     Accepts either a coefficient sequence (forward-mapped internally) or a
     sampled scattering function with a candidate D(0).  A near-singular
-    truncation is reported as regular=False rather than raised.
+    order-M truncation is reported as regular=False rather than raised.
+    The decision and lhs come from order 2M when the grid resolves it and
+    that truncation is not near-singular, otherwise from order M; the gap
+    between the two orders sets `converged`.
     """
     grid = grid or default_grid()
     if seq is not None:
@@ -334,9 +342,11 @@ def regularity_test(seq=None, s=None, d0=None, M=256, grid=None, tol=1e-4):
                   f"{'bounded' if exists else 'diverges'} at {sweep[-1]:.3g}")
         return RegularityReport(False, float("nan"), rhs, sigma, False,
                                 reason=reason, r_sweep=sweep)
+    # decide on the larger order solved; the order-M value audits stability
     lhs2 = lhs_at(2 * M)[0] if 2 * M <= s.grid.size // 4 else lhs
     converged = lhs2 is not None and abs(lhs2 - lhs) <= 10 * tol * max(abs(lhs), 1.0)
+    lhs = lhs if lhs2 is None else lhs2
     gap = abs(lhs * d0 * d0 - 1.0)
-    regular = gap <= tol and sigma < 1.0 - 1e-8
+    regular = gap <= tol
     reason = "" if regular else f"|lhs * D(0)^2 - 1| = {gap:.3e}"
     return RegularityReport(regular, lhs, rhs, sigma, converged, reason)

@@ -1,20 +1,22 @@
 """Inverse scattering: coefficients back from the scattering function.
 
-The per-order data all comes from the shifted solves
-u_n = (I - W_n* W_n)^{-1} e0, where W_n = W[:, n:] is the Hankel operator
-of t^n s and W the wide master, each by conjugate gradients on FFT matvecs
-(hankel._cg) with no matrix formed.  u_n[0] gives the rho ladder,
-rho_n = sqrt(u_{n+1}[0] / u_n[0]), and the kernel ratio at the origin the
-twisted coefficient b_n = -conj(a_{-1}) a_n; the unimodular a_{-1} itself
-is not visible to the Hankel operator (it only sees negative
+Everything the map reads comes from one hankel.HankelOp, the master W of s
+with M rows and M + max_shift columns, whose column blocks W_n = W[:, n:]
+are the Hankel operators of t^n s.  Its norm gates the one-to-one regime
+once for every shift, and its conjugate-gradient solves give
+u_n = (I - W_n* W_n)^{-1} e0 without forming a matrix.  u_n[0] gives the
+rho ladder, rho_n = sqrt(u_{n+1}[0] / u_n[0]), and the kernel ratio at the
+origin the twisted coefficient b_n = -conj(a_{-1}) a_n.  The unimodular
+a_{-1} itself is not visible to the Hankel operator (it only sees negative
 coefficients), so it is read off the full scattering samples by the
 pointwise identity
 
     a_{-1} = -(s conj(psi) + psi conj(phi)) / (s phi conj(psi) + psi),
 
-where phi, psi are rebuilt from the recovered b's.  A grid mean with a
-constancy audit realizes the limit; a non-constant quotient flags the
-non-regular regime.
+where phi, psi are rebuilt from the recovered b's; a least-squares mean
+over the grid realizes it.  One forward map of the recovered sequence then
+audits the result: the spread of -s conj(D)/D, which is the constant a_{-1}
+in the regular regime, and the distance to the input samples.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .circle import CircleFunction, outer_boundary_samples
 from .errors import NumericalError, RegularityError
-from .hankel import _cg, _correlator, hankel_from_symbol, hankel_norm, regularity_test
+from .hankel import hankel_from_symbol, regularity_test
 from .opuc import VerblunskySeq, schur_function
 from .scatter import ScatteringData, forward_scatter
 
@@ -59,28 +61,16 @@ class RecoveryReport:
         return obj
 
 
-class _Shifts:
-    """W_n = W[:, n:] for the order-M master W[k, j] = neg[k + j] with
-    M + max_shift columns, never formed.  Every W_n is a submatrix of W, so
-    one norm gates them all: 1 - ||W|| <= 1e-8 raises RegularityError."""
-
-    def __init__(self, s, M, max_shift):
-        self.rows, self.cols = M, M + max_shift
-        self.neg = hankel_from_symbol(s, M, max_shift=max_shift).neg[: M + self.cols - 1]
-        self.sigma = hankel_norm(self.neg, M, self.cols)
-        if 1.0 - self.sigma <= 1e-8:
-            raise RegularityError(
-                f"sigma_max = {self.sigma:.9g}: scattering data is not in the one-to-one regime")
-        self.corr = _correlator(self.neg)
-
-    def solve(self, n, y=None):
-        """(I - W_n* W_n)^{-1} y; u_n for the default y = e0."""
-        y = np.eye(self.cols - n, 1, dtype=np.complex128)[:, 0] if y is None else y
-        return _cg(self.corr, self.rows, self.cols - n, n, y, 1.0, self.sigma)
-
-    def apply(self, n, x):
-        """W_n x = W [0_n; x]."""
-        return self.corr(np.concatenate((np.zeros(n), x)), self.rows)
+def _regular_master(s, M, max_shift):
+    """The M x (M + max_shift) master W of s.  Every W_n = W[:, n:] is a
+    block of it, so one norm gates them all: 1 - ||W|| <= 1e-8 raises
+    RegularityError."""
+    master = hankel_from_symbol(s, M, max_shift=max_shift)
+    sigma = master.sigma_max()
+    if 1.0 - sigma <= 1e-8:
+        raise RegularityError(
+            f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")
+    return master
 
 
 def _kept_nodes(data, halo=3):
@@ -96,18 +86,19 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     contraction bound of 1 (outside the one-to-one regime); lesser defects
     are reported in the warnings list instead.  The n-shifted truncation is
     M x (M + n_max + 2 - n), and sigma_max is the norm of the widest one.
+    a_minus1_std and residual come from one forward map of the result.
     """
     if M < n_max + 64:
         raise ValueError(f"Hankel order {M} too small for n_max {n_max}; need >= {n_max + 64}")
     grid = s.grid
-    shifts = _Shifts(s, M, n_max + 2)
+    master = _regular_master(s, M, n_max + 2)
     warnings = []
-    u = [shifts.solve(n) for n in range(n_max + 2)]
+    u = [master.solve(n) for n in range(n_max + 2)]
     u0 = np.array([x[0].real for x in u])
     rho = np.sqrt(u0[1:] / u0[:-1])
     # b_n = -(H_n* (I - H_n H_n*)^{-1} e0)[0] / u_n[0], read off u_n because
     # H*(I - HH*)^{-1} = (I - H*H)^{-1} H* for any truncation shape
-    row = shifts.neg[: shifts.cols]  # row 0 of W
+    row = master.neg[: master.cols]  # row 0 of W
     b = np.array([-np.conj(x @ row[n:]) / u0[n] for n, x in enumerate(u[:-1])])
 
     if np.any(np.abs(b) >= 1.0 - 1e-12):
@@ -128,33 +119,17 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
         warnings.append("a_minus1 not identifiable from s; defaulted to -1 (non-unique data)")
     lam /= abs(lam)
 
-    # polish a_minus1 with the forward Szego function of the recovered sequence
-    a_minus1_std = float("inf")
-    for _ in range(4):
-        a = -lam * b
-        if np.any(np.abs(a) >= 1.0 - 1e-12):
-            raise NumericalError("recovered |a_n| reached 1; solver failed")
-        seq = VerblunskySeq(a_minus1=lam, a=tuple(a))
-        data = forward_scatter(seq, grid)
-        keep = _kept_nodes(data)
-        d_t = data.D.boundary(grid).samples
-        vals = -s.samples[keep] * np.conj(d_t[keep]) / d_t[keep]
-        mean = np.mean(vals)
-        a_minus1_std = float(np.std(vals))
-        if abs(mean) < 1e-6:
-            break
-        lam, lam_old = mean / abs(mean), lam
-        if abs(lam - lam_old) < 1e-12:
-            break
+    # one forward map of the recovered sequence audits both a_minus1, as the
+    # constancy of -s conj(D)/D, and the samples of s
+    a = -lam * b
+    data = forward_scatter(VerblunskySeq(a_minus1=lam, a=tuple(a)), grid)
+    keep = _kept_nodes(data)
+    d_t = data.D.boundary(grid).samples[keep]
+    a_minus1_std = float(np.std(-s.samples[keep] * np.conj(d_t) / d_t))
     if a_minus1_std > 1e-4:
         warnings.append(
             f"a_minus1 quotient not constant on the grid (std {a_minus1_std:.3e}); "
             "data behaves non-regular")
-
-    a = -lam * b
-    seq = VerblunskySeq(a_minus1=lam, a=tuple(a))
-    data = forward_scatter(seq, grid)
-    keep = _kept_nodes(data)
     residual = float(np.max(np.abs(data.s.samples[keep] - s.samples[keep])))
     consistency = np.abs(np.abs(a) ** 2 + rho ** 2 - 1.0)
     if np.max(consistency) > 1e-4:
@@ -163,7 +138,7 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     regular = residual <= residual_tol
     return RecoveryReport(
         a=a, rho=rho, a_minus1=complex(lam), residual=residual,
-        consistency=consistency, sigma_max=shifts.sigma, regular=regular,
+        consistency=consistency, sigma_max=master.sigma_max(), regular=regular,
         a_minus1_std=a_minus1_std, warnings=warnings,
     )
 
@@ -209,16 +184,16 @@ def glm_matrix(source, m, M, grid=None, check_regular=True):
         rep = regularity_test(s=data.s, d0=data.d0, M=M)
         if not rep.regular:
             raise RegularityError(f"GLM transform needs the regular regime: {rep.reason}")
-    shifts = _Shifts(data.s, M, m)
+    master = _regular_master(data.s, M, m)
     out = np.zeros((m, m), dtype=np.complex128)
     for n in range(m):
         if n % 2 == 0:
-            first = shifts.solve(n)
-            second = -shifts.apply(n, first)
+            first = master.solve(n)
+            second = -master.apply(n, first)
             scale = 1.0 / np.sqrt(first[0].real)
         else:
-            second = -shifts.solve(n, np.conj(shifts.neg[n: shifts.cols]))
-            first = -shifts.apply(n, second)
+            second = -master.solve(n, np.conj(master.neg[n: master.cols]))
+            first = -master.apply(n, second)
             first[0] += 1.0
             scale = -data.a_minus1 / np.sqrt(first[0].real)
         out[n::2, n] = scale * first[: (m - n + 1) // 2]
@@ -255,14 +230,14 @@ def l_matrix(source, m, M, grid=None):
     L L^* against a dense solve of A).
     """
     s = source if isinstance(source, CircleFunction) else _as_scattering(source, grid).s
-    shifts = _Shifts(s, M, m)
+    master = _regular_master(s, M, m)
     out = np.zeros((m, m), dtype=np.complex128)
     for n in range(m):
-        u = shifts.solve(n)
+        u = master.solve(n)
         out[n:, n] = u[: m - n] / np.sqrt(u[0].real)
         out[n, n] = np.sqrt(u[0].real)
-    w = shifts.neg[np.add.outer(np.arange(M), np.arange(shifts.cols))]
-    a = np.eye(shifts.cols) - w.conj().T @ w
+    w = master.mat
+    a = np.eye(master.cols) - w.conj().T @ w
     lead = np.linalg.solve(a, np.eye(len(a))[:, :m])[:m]
     rhs = out @ out.conj().T
     residual = float(np.linalg.norm(lead - rhs) / np.linalg.norm(rhs))

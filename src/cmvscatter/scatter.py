@@ -125,7 +125,7 @@ def phi_from_R(R, a_minus1, grid=None):
     phi = DiskFunction(coef, "interior")
     mod = CircleFunction(grid, np.maximum(1.0 - np.abs(phi_t) ** 2, 0.0))
     psi_t = outer_boundary_samples(mod, grid)
-    psi, _ = disk_from_boundary(psi_t, grid, kind="interior", max_len=grid.size // 2)
+    psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
     return PhiPsi(phi=phi, psi=psi, phi_boundary=phi_t, psi_boundary=psi_t)
 
 

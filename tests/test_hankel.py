@@ -248,9 +248,9 @@ def test_regularity_monomial_detects_nonuniqueness(grid):
 
 
 def _dense_master(s, m, max_shift):
-    """The m x (m + max_shift) master's coefficients and its dense matrix."""
+    """The m x (m + max_shift) master as a dense matrix, entry by entry."""
     neg = hankel_from_symbol(s, m, max_shift=max_shift).neg[: 2 * m - 1 + max_shift]
-    return neg, np.array([[neg[k + j] for j in range(m + max_shift)] for k in range(m)])
+    return np.array([[neg[k + j] for j in range(m + max_shift)] for k in range(m)])
 
 
 def test_shifted_cg_matches_dense_solves(grid4096):
@@ -259,22 +259,22 @@ def test_shifted_cg_matches_dense_solves(grid4096):
     # explicit dense solve of the trailing Gram block, and what recovery
     # reads off them matches dense solves of I - W_n W_n*
     from cmvscatter import recover_verblunsky
-    from cmvscatter.hankel import _cg, _correlator, hankel_norm
 
     rng = np.random.default_rng(31)
     seq = random_complex_seq(rng, 5)
     s = _symbol(grid4096, seq)
     m, n_max = 128, 8
-    neg, w = _dense_master(s, m, n_max + 2)
-    corr, sigma = _correlator(neg), hankel_norm(neg, m, w.shape[1])
+    w = _dense_master(s, m, n_max + 2)
+    master = hankel_from_symbol(s, m, max_shift=n_max + 2)
     a = np.eye(w.shape[1]) - w.conj().T @ w
     u = []
     for n in range(n_max + 2):
         e0 = np.zeros(w.shape[1] - n, dtype=complex)
         e0[0] = 1.0
         u.append(np.linalg.solve(a[n:, n:], e0))
-        x = _cg(corr, m, w.shape[1] - n, n, e0, 1.0, sigma)
+        x = master.solve(n, e0)
         assert np.max(np.abs(x - u[-1])) < 1e-12
+        assert np.max(np.abs(master.apply(n, x) - w[:, n:] @ x)) < 1e-12
     rep = recover_verblunsky(s, n_max=n_max, M=m)
     rho = [np.sqrt(u[n + 1][0].real / u[n][0].real) for n in range(n_max + 1)]
     assert np.max(np.abs(rep.rho - rho)) < 1e-12
@@ -289,12 +289,12 @@ def test_shifted_cg_matches_dense_solves(grid4096):
 
 
 def test_shifted_solves_gate_on_the_master_norm(grid4096):
-    from cmvscatter import RegularityError, l_matrix
-    from cmvscatter.inverse import _Shifts
+    from cmvscatter import RegularityError, l_matrix, recover_verblunsky
 
     s = CircleFunction(grid4096, 1.0 / grid4096.nodes)  # shat(-1) = 1
+    assert 1.0 - hankel_from_symbol(s, 64, max_shift=4).sigma_max() <= 1e-8
     with pytest.raises(RegularityError, match="one-to-one"):
-        _Shifts(s, 64, 4)
+        recover_verblunsky(s, n_max=2, M=66)
     with pytest.raises(RegularityError, match="one-to-one"):
         l_matrix(s, 4, 64)
 
@@ -304,13 +304,12 @@ def test_shifted_cg_near_singular_matches_dense():
     # an M = 512 master with sigma_max = 1 - 4e-7, condition about 1e6
     from cmvscatter import CircleGrid
     from cmvscatter.classify import jacobi_verblunsky
-    from cmvscatter.inverse import _Shifts
 
     s = _symbol(CircleGrid(16384), jacobi_verblunsky(2.0, 0.0, 400))
     m, shifts = 512, 18
-    master = _Shifts(s, m, shifts)
-    assert 1.0 - master.sigma < 1e-6
-    w = _dense_master(s, m, shifts)[1]
+    master = hankel_from_symbol(s, m, max_shift=shifts)
+    assert 1.0 - master.sigma_max() < 1e-6
+    w = _dense_master(s, m, shifts)
     a = np.eye(w.shape[1]) - w.conj().T @ w
     for n in range(shifts):
         ref = np.linalg.solve(a[n:, n:], np.eye(w.shape[1] - n, 1)[:, 0])
@@ -386,7 +385,7 @@ def test_solve_block_matches_dense_cholesky(grid4096, m):
     # complex coefficients and a random unimodular a_minus1, both selectors
     rng = np.random.default_rng(50 + m)
     big = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), m, max_shift=2)
-    for h in (big, big.shifted(2)):
+    for h in (big.shifted(0), big.shifted(2)):
         for r in (0.9, 0.99, 1.0):
             ref = _dense_block_solve(h, r)
             x = solve_block(h, "unit_H2", r=r)
@@ -421,22 +420,64 @@ def test_cg_refuses_an_unconverged_residual():
     # symmetric: the recurrence residual vanishes in 3 steps but the true
     # residual of the non-Hermitian system does not, and the gate refuses
     from cmvscatter import NumericalError
-    from cmvscatter.hankel import _cg
+    from cmvscatter.hankel import HankelOp
 
     k = 0.3 * np.random.default_rng(52).normal(size=(3, 3))
+    op = HankelOp(3, np.zeros(5, dtype=complex))
+    op._corr = lambda x, m: (k @ x)[:m]
+    op._sigma = 0.5
     with pytest.raises(NumericalError, match="condition estimate"):
-        _cg(lambda x, m: (k @ x)[:m], 3, 3, 0, np.eye(3, 1)[:, 0], 1.0, 0.5)
+        op.solve(0)
 
 
-def test_regularity_long_jacobi_matches_dense():
+@pytest.fixture(scope="module")
+def long_jacobi():
+    """The Helson-Szego weight |t-1|^{1/2}, truncated at support 2000."""
     from cmvscatter import CircleGrid
     from cmvscatter.classify import jacobi_verblunsky
 
-    data = forward_scatter(jacobi_verblunsky(0.25, 0.0, 2000), CircleGrid(16384))
+    seq = jacobi_verblunsky(0.25, 0.0, 2000)
+    return seq, forward_scatter(seq, CircleGrid(16384))
+
+
+def test_regularity_long_jacobi_matches_dense(long_jacobi):
+    # the order-1024 CG solve against the dense one; the report's lhs comes
+    # from order 2048, past the Kronecker cut at the support, where the
+    # truncated constant is exactly 1/D(0)^2
+    data = long_jacobi[1]
     rep = regularity_test(s=data.s, d0=data.d0, M=1024)
-    ref = _dense_block_solve(hankel_from_symbol(data.s, 1024))[0].real
-    assert abs(rep.lhs - ref) <= 1e-12 * ref
+    h = hankel_from_symbol(data.s, 1024)
+    ref = _dense_block_solve(h)[0].real
+    assert abs(solve_block(h, "unit_H2")[0].real - ref) <= 1e-12 * ref
+    assert abs(rep.lhs * data.d0 ** 2 - 1.0) <= 1e-12
     assert rep.converged
+
+
+def test_regularity_decides_on_the_larger_order(long_jacobi):
+    # at M = 1024 the order-M constant misses 1/D(0)^2 by 3.7e-4 relative,
+    # above tol; the order-2048 solve decides, so this A2 weight is regular
+    from cmvscatter import classify
+
+    seq, data = long_jacobi
+    h = hankel_from_symbol(data.s, 1024)
+    assert abs(solve_block(h, "unit_H2")[0].real * data.d0 ** 2 - 1.0) > 1e-4
+    assert regularity_test(s=data.s, d0=data.d0, M=1024).regular
+    rep = classify(seq, grid=data.s.grid, M=1024)
+    assert rep.regular and rep.hs_member and not rep.gi_member
+    assert rep.diagnostics["glm_column_norm"] is None
+
+
+def test_hankel_op_transforms_its_coefficients_once(grid, monkeypatch):
+    # the norm, the shifted solves and the products all reuse one fft
+    rng = np.random.default_rng(53)
+    master = hankel_from_symbol(_symbol(grid, random_complex_seq(rng, 4)), 64, max_shift=3)
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+    master.sigma_max()
+    for n in range(4):
+        master.apply(n, master.solve(n))
+    assert len(calls) == 1
 
 
 def test_point_evaluation_forms_no_matrix(grid, monkeypatch):

@@ -47,6 +47,23 @@ def test_recover_complex_roundtrip(grid4096):
         assert rep.regular
 
 
+def test_recovery_forward_maps_once(grid4096, monkeypatch):
+    # a_minus1 comes from the pointwise identity; a_minus1_std and the
+    # residual both come from one forward map of the recovered sequence
+    from cmvscatter import inverse
+
+    rng = np.random.default_rng(27)
+    seq = random_complex_seq(rng, 5)
+    data = forward_scatter(seq, grid4096)
+    maps = []
+    monkeypatch.setattr(inverse, "forward_scatter",
+                        lambda *a, **k: maps.append(forward_scatter(*a, **k)) or maps[-1])
+    rep = recover_verblunsky(data.s, n_max=8, M=256)
+    assert len(maps) == 1
+    assert rep.a_minus1_std < 1e-10 and rep.residual < 1e-10
+    assert abs(rep.a_minus1 - seq.a_minus1) < 1e-6
+
+
 def test_recover_rho_two_ways(grid4096):
     rng = np.random.default_rng(26)
     seq = random_complex_seq(rng, 4)
