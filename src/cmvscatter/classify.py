@@ -111,9 +111,10 @@ def a2_constant(w, min_arc=8):
 def widom_det(seq, m_list, grid=None):
     """det(I - H*H) against prod rho_n^{2(n+1)} at each truncation order.
 
-    Returns rows (M, det, product, relative gap).  When the truncation is
-    not a strict contraction the determinant is still reported (it heads to
-    zero); nothing raises.
+    Returns rows (M, det, product, relative gap).  The determinant is
+    HankelOp.det: Lanczos on the FFT operator, with the dense slogdet as
+    its fallback.  When the truncation is not a strict contraction the
+    determinant is still reported (it heads to zero); nothing raises.
     """
     grid = grid or default_grid()
     data = forward_scatter(seq, grid)
@@ -121,10 +122,7 @@ def widom_det(seq, m_list, grid=None):
     product = float(np.prod(rho ** (2.0 * (np.arange(len(rho)) + 1)))) if len(rho) else 1.0
     rows = []
     for m in sorted(m_list):
-        h = hankel_from_symbol(data.s, m).mat
-        system = np.eye(m) - h.conj().T @ h
-        sign, logdet = np.linalg.slogdet(system)
-        det = float(sign.real * np.exp(logdet)) if sign != 0 else 0.0
+        det = hankel_from_symbol(data.s, m).det()
         gap = abs(det - product) / product if product > 0 else abs(det)
         rows.append((m, det, product, gap))
     return rows
@@ -233,7 +231,8 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
     glm_column_norm = None
     if hs_member and seq is not None:
         try:
-            glm = glm_matrix(data, 16, min(M, 128))
+            # regularity was decided above at order M; glm_matrix need not redo it
+            glm = glm_matrix(data, 16, min(M, 128), check_regular=False)
             glm_column_norm = float(np.max(np.linalg.norm(glm.mat, axis=0)))
         except (RegularityError, RuntimeError):
             glm_column_norm = None

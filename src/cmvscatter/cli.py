@@ -79,6 +79,8 @@ def _validate(args):
         order = getattr(args, "order", None)
         if order is not None and order > trunc // 4:
             raise ValueError(f"--order {order} exceeds trunc/4 = {trunc // 4}")
+    elif isinstance(trunc, list) and (not trunc or min(trunc) < 1):
+        raise ValueError(f"--trunc needs one or more positive orders, got {trunc}")
 
 
 def _out_prefix(args, fallback):

@@ -10,12 +10,14 @@ n-shifted operator is the column block W_n = W[:, n:] of one wide master W.
 
 HankelOp is that one operator.  It takes the FFT of its coefficients once,
 and every product with W or W* is an FFT correlation against it, so no
-operator, Gram or factor is formed.  Its norm, by Lanczos on W*W with full
-reorthogonalization, is cached and gates every regularity decision through
-the gap 1 - ||W||.  Every solve with I - r^2 W_n* W_n, square (solve_block)
-or shifted (the inverse map), runs its one conjugate-gradient loop.  By
-Kronecker's theorem a symbol of degree p has a Hankel operator of rank at
-most p, so CG stops after about p - n steps.
+operator, Gram or factor is formed.  One Lanczos loop on W*W with full
+reorthogonalization serves two readers: the norm, which is cached and
+gates every regularity decision through the gap 1 - ||W||, and the Widom
+determinant det(I - W*W) = prod(1 - theta_i) over the Ritz values.  Every
+solve with I - r^2 W_n* W_n, square (solve_block) or shifted (the inverse
+map), runs its one conjugate-gradient loop.  By Kronecker's theorem a
+symbol of degree p has a Hankel operator of rank at most p, so CG stops
+after about p - n steps and the determinant's Lanczos after about p.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ from .errors import NearSingularError, NumericalError
 
 #: Lanczos steps sigma_max may take before it reports non-convergence.
 LANCZOS_MAX_STEPS = 200
+
+#: In HankelOp.det, a Lanczos beta_k <= LANCZOS_DET_TOL * sigma_max^2 marks
+#: an invariant subspace.
+LANCZOS_DET_TOL = 1e-16
+
+
+def _tridiagonal(alpha, beta):
+    """The Lanczos tridiagonal with diagonal alpha and off-diagonal beta[:-1]."""
+    off = beta[:-1]
+    return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @dataclass
@@ -87,6 +99,50 @@ class HankelOp:
         """W_n x = W [0_n; x]."""
         return self._corr(np.concatenate((np.zeros(n), x)), self.order)
 
+    def _lanczos(self, steps, floor=0.0):
+        """Lanczos on W*W with full reorthogonalization from a fixed seeded
+        start vector.  After each step k < steps it yields (alpha, beta): the
+        tridiagonal's diagonal and the residual norms beta_0..beta_k, whose
+        first k entries are its off-diagonal.  The caller decides when to
+        stop; every run on the same coefficients takes the same bits.
+
+        A beta_k <= floor marks an invariant subspace.  It is recorded as 0,
+        which splits the tridiagonal into blocks, and the next vector is a
+        fresh seeded one orthogonal to the basis: one Krylov space holds
+        each eigenvalue once, so a repeated one shows once per block.
+        """
+        cols = self.cols
+        rng = np.random.default_rng(0)
+        basis = np.empty((steps, cols), dtype=np.complex128)
+
+        def orth(v, k):
+            # q* v as conj(q conj(v)): the same bits without a conjugated copy of q
+            q = basis[:k]
+            for _ in range(2):
+                v -= q.T @ np.conj(q @ np.conj(v))
+            return v
+
+        def fresh(k):
+            re, im = rng.standard_normal((2, cols))
+            v = orth(re + 1j * im, k) if k else re + 1j * im
+            return v / np.linalg.norm(v)
+
+        basis[0] = fresh(0)
+        alpha = np.zeros(steps)
+        beta = np.zeros(steps)
+        for k in range(steps):
+            w = self._gram(basis[k])
+            alpha[k] = np.vdot(basis[k], w).real
+            beta[k] = np.linalg.norm(orth(w, k + 1))
+            yield alpha[: k + 1], beta[: k + 1]
+            if k + 1 == steps:
+                return
+            if beta[k] > floor:
+                basis[k + 1] = w / beta[k]
+            else:
+                beta[k] = 0.0
+                basis[k + 1] = fresh(k + 1)
+
     def sigma_max(self):
         """||W|| by Lanczos on W*W with full reorthogonalization, cached.
 
@@ -102,30 +158,47 @@ class HankelOp:
         if rows == 0 or cols == 0 or not np.any(self.neg[self.shift: self.shift + rows + cols - 1]):
             self._sigma = 0.0
             return self._sigma
-        re, im = np.random.default_rng(0).standard_normal((2, cols))
         steps = min(cols, LANCZOS_MAX_STEPS)
-        basis = np.empty((steps, cols), dtype=np.complex128)
-        basis[0] = re + 1j * im
-        basis[0] /= np.linalg.norm(basis[0])
-        alpha = np.zeros(steps)
-        beta = np.zeros(steps)
-        for k in range(steps):
-            w = self._gram(basis[k])
-            alpha[k] = np.vdot(basis[k], w).real
-            q = basis[: k + 1]
-            for _ in range(2):
-                w -= q.T @ (q.conj() @ w)
-            beta[k] = np.linalg.norm(w)
-            off = beta[:k]
-            theta, s = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(off, 1) + np.diag(off, -1))
-            if beta[k] * abs(s[-1, -1]) <= 1e-15 * abs(theta[-1]) or k + 1 == cols:
+        for alpha, beta in self._lanczos(steps):
+            theta, s = np.linalg.eigh(_tridiagonal(alpha, beta))
+            if beta[-1] * abs(s[-1, -1]) <= 1e-15 * abs(theta[-1]) or len(alpha) == cols:
                 self._sigma = float(np.sqrt(max(theta[-1], 0.0)))
                 return self._sigma
-            if k + 1 < steps:
-                basis[k + 1] = w / beta[k]
         raise NumericalError(
             f"Hankel norm Lanczos did not converge in {steps} steps "
             f"(Ritz residual {beta[-1] * abs(s[-1, -1]):.3e})")
+
+    def det(self):
+        """det(I - W*W), by Lanczos when W has low numerical rank.
+
+        By Kronecker's theorem W has rank at most p for a symbol of degree
+        p, so the Lanczos loop of sigma_max reaches an invariant subspace in
+        about p steps, and the determinant is prod(1 - theta_i) over the
+        Ritz values.  A beta_k at or below 1e-16 sigma_max^2 restarts the
+        loop in a fresh block; the loop stops when a fresh block closes at
+        its first step, and solves the tridiagonal once.  When that takes
+        more than cols // 8 steps (a near-singular symbol or one of high
+        rank), or the norm does not converge, the determinant is the dense
+        slogdet of the formed Gram instead.  The cap keeps the failed
+        attempt's reorthogonalization, about cols^3 / 32 multiply-adds,
+        well below the cols^3 of the dense Gram.
+        """
+        try:
+            top = self.sigma_max() ** 2
+        except NumericalError:
+            return self._dense_det()
+        floor = LANCZOS_DET_TOL * top
+        for alpha, beta in self._lanczos(max(self.cols // 8, 1), floor):
+            # a fresh block closes at its first step: W*W vanishes on the
+            # complement of the blocks found so far
+            if beta[-1] <= floor and (len(beta) == 1 or beta[-2] == 0.0):
+                return float(np.prod(1.0 - np.linalg.eigvalsh(_tridiagonal(alpha, beta))))
+        return self._dense_det()
+
+    def _dense_det(self):
+        w = self.mat
+        sign, logdet = np.linalg.slogdet(np.eye(self.cols) - w.conj().T @ w)
+        return float(sign.real * np.exp(logdet)) if sign != 0 else 0.0
 
     def solve(self, n=0, rhs=None, r=1.0):
         """x = (I - r^2 W_n* W_n)^{-1} rhs by conjugate gradients from 0;

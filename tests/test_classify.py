@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvscatter import (
     CircleFunction,
@@ -123,6 +127,52 @@ def test_widom_two_coefficients(grid):
     m, det, product, gap = rows[0]
     assert abs(product - 0.75 * (8.0 / 9.0) ** 2) < 1e-12
     assert gap < 1e-6
+
+
+def test_widom_forms_no_matrix(grid4096, monkeypatch):
+    module = importlib.import_module("cmvscatter.classify")
+    built = []
+    monkeypatch.setattr(module, "hankel_from_symbol",
+                        lambda *a, **k: built.append(hankel_from_symbol(*a, **k)) or built[-1])
+    rows = widom_det(random_complex_seq(np.random.default_rng(67), 5), [64, 128, 256], grid4096)
+    assert max(r[3] for r in rows) <= 1e-6
+    assert len(built) == 3 and all(op._mat is None for op in built)
+
+
+def _strong_szego_limit(seq, grid):
+    """prod rho_n^{2(n+1)} = exp(-sum_{k>=1} k |(log w)^_k|^2), from one FFT
+    of log w over the positive frequencies and no Hankel algebra; summing
+    both signs of k would square it."""
+    w = forward_scatter(seq, grid).w.samples.real
+    c = np.fft.fft(np.log(w)) / grid.size
+    k = np.arange(1, grid.size // 2)
+    return float(np.exp(-np.sum(k * np.abs(c[1: grid.size // 2]) ** 2)))
+
+
+def test_widom_matches_strong_szego_limit(grid4096):
+    rng = np.random.default_rng(71)
+    for support in (1, 4, 6):
+        seq = random_complex_seq(rng, support, max_mod=0.5)
+        limit = _strong_szego_limit(seq, grid4096)
+        (_, det, product, _), = widom_det(seq, [256], grid4096)
+        assert abs(product - limit) <= 1e-13 * limit
+        assert abs(det - limit) <= 1e-13 * limit
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    mods=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=6),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6),
+    theta=st.floats(0.0, 2.0 * np.pi),
+)
+def test_widom_identity_property(mods, phases, theta):
+    seq = VerblunskySeq(a_minus1=np.exp(1j * theta),
+                        a=tuple(m * np.exp(1j * p) for m, p in zip(mods, phases)))
+    # N = 4096 resolves 1/Phi for these draws; N = 1024 aliases s for some
+    rows = widom_det(seq, [16, 64, 256], CircleGrid(4096))
+    assert max(r[3] for r in rows) <= 1e-6
+    dets = [r[1] for r in rows]
+    assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dets, dets[1:]))
 
 
 def test_classify_free(grid):

@@ -190,6 +190,19 @@ def test_config_validation(a05_json, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("trunc", ["", "0,64", "64,-128"])
+@pytest.mark.parametrize("command", ["widom", "demo-nonunique"])
+def test_list_trunc_must_hold_positive_orders(command, trunc, a05_json, tmp_path, capsys):
+    # an empty list, an order 0 and a negative order are input errors, caught
+    # before any output is written
+    argv = [command, "--out", str(tmp_path / "x"), "--grid", "1024", f"--trunc={trunc}"]
+    if command == "widom":
+        argv += ["--input", a05_json]
+    assert main(argv) == 2
+    assert "--trunc needs one or more positive orders" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_inverse_trunc_beyond_coefficient_window(a05_json, tmp_path, capsys):
     # --trunc 1024 passes the grid/4 check at N = 4096, but the shifted
     # master needs 2M - 1 + n_max + 2 negative coefficients and the grid

@@ -464,7 +464,9 @@ def test_regularity_decides_on_the_larger_order(long_jacobi):
     assert regularity_test(s=data.s, d0=data.d0, M=1024).regular
     rep = classify(seq, grid=data.s.grid, M=1024)
     assert rep.regular and rep.hs_member and not rep.gi_member
-    assert rep.diagnostics["glm_column_norm"] is None
+    # classify passes that decision to glm_matrix, which refused at order
+    # 128 when it re-decided there
+    assert abs(rep.diagnostics["glm_column_norm"] - 1.0763460021418765) <= 1e-9
 
 
 def test_hankel_op_transforms_its_coefficients_once(grid, monkeypatch):
@@ -501,3 +503,52 @@ def test_point_evaluation_forms_no_matrix(grid, monkeypatch):
     nonregular = regularity_test(s=CircleFunction(grid, 1.0 / grid.nodes), d0=1.0, M=64)
     assert nonregular.r_sweep is not None
     assert len(built) == 3 and all(op._mat is None for op in built)
+
+
+def _dense_det(h):
+    """The reference det(I - H*H): slogdet of the formed Gram."""
+    w = h.neg[np.add.outer(np.arange(h.order), np.arange(h.cols)) + h.shift]
+    sign, logdet = np.linalg.slogdet(np.eye(h.cols) - w.conj().T @ w)
+    return float(sign.real * np.exp(logdet))
+
+
+def test_det_by_lanczos_matches_dense(long_jacobi):
+    # complex supports 1-6 with unimodular a_minus1 have rank <= p, and
+    # jacobi(0.25, 0, 2000) has fast-decaying singular values: Lanczos
+    # reaches an invariant subspace well inside the cap and forms no matrix;
+    # the zero operator of a constant symbol gives exactly 1
+    rng = np.random.default_rng(61)
+    grid = long_jacobi[1].s.grid
+    symbols = [_symbol(grid, random_complex_seq(rng, p)) for p in range(1, 7)]
+    for s in symbols + [long_jacobi[1].s, CircleFunction.constant(grid, 1.0)]:
+        h = hankel_from_symbol(s, 1024)
+        det = h.det()
+        assert h._mat is None
+        ref = _dense_det(h)
+        assert abs(det - ref) <= 1e-13 * abs(ref)
+
+
+def test_det_counts_repeated_singular_values(grid4096):
+    # with a_k = 0 at every even k, s is a function of t^2 and every nonzero
+    # singular value of H is double; one Krylov space holds each once, and a
+    # fresh block restarted at the invariant subspace finds the second copy
+    for a in ((0.0, 0.5), (0.0, 0.3j, 0.0, -0.4 + 0.1j)):
+        s = _symbol(grid4096, VerblunskySeq(a_minus1=np.exp(0.5j), a=a))
+        for m in (64, 256):
+            h = hankel_from_symbol(s, m)
+            det = h.det()
+            assert h._mat is None
+            ref = _dense_det(h)
+            assert abs(det - ref) <= 1e-13 * abs(ref)
+
+
+def test_det_falls_back_to_dense_when_lanczos_does_not_converge(long_jacobi):
+    # jacobi(2, 0, 400) has sigma_max = 1 - 4e-7 and rank 400: Lanczos needs
+    # about 417 steps at m = 512, past the cap, so det is the dense value
+    from cmvscatter.classify import jacobi_verblunsky
+
+    s = forward_scatter(jacobi_verblunsky(2.0, 0.0, 400), long_jacobi[1].s.grid).s
+    h = hankel_from_symbol(s, 512)
+    det = h.det()
+    assert h._mat is not None
+    assert det == _dense_det(h)
