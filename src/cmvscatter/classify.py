@@ -189,6 +189,9 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
         w_full = data.w
         a_minus1 = seq.a_minus1
     else:
+        if M < 64:
+            raise ValueError(f"Hankel order {M} too small to recover a sequence from s; "
+                             "need >= 64")
         n_max = min(n_max_probe, M - 64)
         try:
             rec = recover_verblunsky(s, n_max, M, residual_tol=1e-4)

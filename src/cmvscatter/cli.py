@@ -73,14 +73,22 @@ def _validate(args):
     if n < 16 or n & (n - 1):
         raise ValueError(f"--grid must be a power of two >= 16, got {n}")
     trunc = getattr(args, "trunc", None)
+    order = getattr(args, "order", None)
     if isinstance(trunc, int):
+        if trunc < 1:
+            raise ValueError(f"--trunc must be a positive order, got {trunc}")
         if trunc > n // 4:
             raise ValueError(f"--trunc {trunc} exceeds grid/4 = {n // 4}")
-        order = getattr(args, "order", None)
         if order is not None and order > trunc // 4:
             raise ValueError(f"--order {order} exceeds trunc/4 = {trunc // 4}")
     elif isinstance(trunc, list) and (not trunc or min(trunc) < 1):
         raise ValueError(f"--trunc needs one or more positive orders, got {trunc}")
+    lowest = 1 if args.command == "glm" else 0  # a GLM block of order 0 is empty
+    if order is not None and order < lowest:
+        raise ValueError(f"--order must be at least {lowest}, got {order}")
+    radius = getattr(args, "radius", None)
+    if radius is not None and not 0.0 < radius <= 1.0:
+        raise ValueError(f"--radius must lie in (0, 1], got {radius}")
 
 
 def _out_prefix(args, fallback):

@@ -46,14 +46,13 @@ def _tridiagonal(alpha, beta):
 
 @dataclass
 class HankelOp:
-    """W[k, j] = neg[shift + k + j] with `order` rows and `cols` columns,
-    square unless cols is given; neg[m-1] = shat(-m).  The shifted
+    """W[k, j] = neg[k + j] with `order` rows and `cols` columns, square
+    unless cols is given; neg[m-1] = shat(-m).  The shifted
     operators W_n = W[:, n:] are column blocks, so one FFT of the
     coefficients serves the norm, every solve and every product."""
 
     order: int
     neg: np.ndarray = field(repr=False)
-    shift: int = 0
     cols: int = None
     _mat: np.ndarray = field(default=None, repr=False)
     _sigma: float = field(default=None, repr=False)
@@ -61,21 +60,21 @@ class HankelOp:
 
     def __post_init__(self):
         self.cols = self.order if self.cols is None else self.cols
-        need = self.shift + self.order + self.cols - 1
+        need = self.order + self.cols - 1
         if need > len(self.neg):
             raise ValueError(f"need {need} coefficients, got {len(self.neg)}")
 
     @property
     def mat(self):
         if self._mat is None:
-            idx = np.add.outer(np.arange(self.order), np.arange(self.cols)) + self.shift
+            idx = np.add.outer(np.arange(self.order), np.arange(self.cols))
             self._mat = self.neg[idx]
             self._mat.setflags(write=False)
         return self._mat
 
     def shifted(self, n):
         """Square order-M operator of the symbol times t^n (exact index shift)."""
-        return HankelOp(self.order, self.neg, self.shift + n)
+        return HankelOp(self.order, self.neg[n:])
 
     def frobenius_sq(self):
         return float(np.sum(np.abs(self.mat) ** 2))
@@ -85,8 +84,7 @@ class HankelOp:
         two FFTs of a length n >= len(c), so no index wraps while
         m + len(x) - 1 <= len(c).  W x is _corr(x, order)."""
         if self._spec is None:
-            c = np.asarray(self.neg[self.shift: self.shift + self.order + self.cols - 1],
-                           dtype=np.complex128)
+            c = np.asarray(self.neg[: self.order + self.cols - 1], dtype=np.complex128)
             n = 1 << (len(c) - 1).bit_length()
             self._spec = np.fft.fft(c, n) * n
         return np.fft.ifft(self._spec * np.fft.ifft(x, len(self._spec)))[:m]
@@ -155,7 +153,7 @@ class HankelOp:
         if self._sigma is not None:
             return self._sigma
         rows, cols = self.order, self.cols
-        if rows == 0 or cols == 0 or not np.any(self.neg[self.shift: self.shift + rows + cols - 1]):
+        if rows == 0 or cols == 0 or not np.any(self.neg[: rows + cols - 1]):
             self._sigma = 0.0
             return self._sigma
         steps = min(cols, LANCZOS_MAX_STEPS)
@@ -243,12 +241,6 @@ class HankelOp:
             raise NumericalError(
                 f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
         return x
-
-
-def hankel_norm(neg, rows, cols):
-    """||W|| for the rows x cols Hankel matrix W[k, j] = neg[k + j]
-    (HankelOp.sigma_max, never forming W)."""
-    return HankelOp(rows, np.asarray(neg, dtype=np.complex128), cols=cols).sigma_max()
 
 
 def hankel_from_symbol(s, M, max_shift=0):

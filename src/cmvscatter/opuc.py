@@ -8,15 +8,15 @@ polynomial), zero-free on the closed disk with Phi(0) = 1, whose values at
 the grid nodes come from one FFT.  `schur_function` keeps the pointwise
 recursion as an independent reference.  The density depends only on
 a_0, a_1, ...; the unimodular a_{-1} enters the scattering function and
-the phases of the orthonormal Laurent basis.
+the phases of the orthonormal Laurent basis, whose elements are the
+orthonormal polynomials of the same Szego recursion, arranged as in
+Cantero-Moral-Velazquez.
 
 Convention note (conjugation calibration, documented once here): the
-five-diagonal matrix is built verbatim from the user's coefficients, while
-the Laurent-basis recursion runs on the twisted coefficients
--a_{-1} * conj(a_k).  With that twist the basis is orthonormal for the
-spectral density, the leading coefficients are
-1/(rho_0...rho_{2n-1}) and -conj(a_{-1})/(rho_0...rho_{2n}), and the
-kernel-ratio identity used by the inverse map reads
+five-diagonal matrix is built verbatim from the user's coefficients, and
+the Laurent basis has leading coefficients 1/(rho_0...rho_{2n-1}) and
+-conj(a_{-1})/(rho_0...rho_{2n}).  The inverse map reads the twisted
+coefficients -a_{-1} * conj(a_k): its kernel-ratio identity is
 ratio_n = -conj(a_{-1}) * a_n.
 """
 
@@ -218,13 +218,9 @@ def build_cmv(seq, n):
 
 
 def cmv_inverse_truncation(seq, n):
-    """n-by-n leading block of the inverse (the adjoint-factor product)."""
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
-    nbig = n + 4 + (n % 2)
-    a0, a1 = _block_factors(seq, nbig)
-    prod = a0.conj().T @ a1.conj().T
-    return CmvMatrix(n, prod[:n, :n].copy())
+    """n-by-n leading block of the inverse: the product is unitary, so this
+    is the adjoint of its leading block."""
+    return CmvMatrix(n, build_cmv(seq, n).mat.conj().T)
 
 
 def cmv_recursion_check(seq, n):
@@ -269,67 +265,34 @@ def cmv_first_return(seq, n=8):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials and the CMV orthonormal basis
+# The CMV orthonormal Laurent basis
 # ---------------------------------------------------------------------------
-
-class Laurent:
-    """Laurent polynomial sum coef[i] t^(lo+i), with exact coefficient ops."""
-
-    __slots__ = ("lo", "coef")
-
-    def __init__(self, lo, coef):
-        self.lo = int(lo)
-        self.coef = np.asarray(coef, dtype=np.complex128)
-
-    @property
-    def hi(self):
-        return self.lo + len(self.coef) - 1
-
-    def coeff(self, e):
-        i = e - self.lo
-        if 0 <= i < len(self.coef):
-            return complex(self.coef[i])
-        return 0.0 + 0.0j
-
-    def shift(self, by):
-        return Laurent(self.lo + by, self.coef)
-
-    def __mul__(self, scalar):
-        return Laurent(self.lo, self.coef * scalar)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = np.zeros(hi - lo + 1, dtype=np.complex128)
-        out[self.lo - lo: self.lo - lo + len(self.coef)] += self.coef
-        out[other.lo - lo: other.lo - lo + len(other.coef)] -= other.coef
-        return Laurent(lo, out)
-
-    def sample(self, nodes):
-        out = np.zeros_like(nodes, dtype=np.complex128)
-        for i, c in enumerate(self.coef):
-            out += c * nodes ** (self.lo + i)
-        return out
-
 
 @dataclass
 class LaurentBasis:
-    """Orthonormal Laurent system P_0..P_m for the spectral density."""
+    """Orthonormal Laurent system P_0..P_m for the spectral density:
+    P_k = sum_e coef[k, K + e] t^e for |e| <= K = (m + 1) // 2."""
 
-    polys: list
+    coef: np.ndarray
     leading: np.ndarray
     samples: np.ndarray
     gram_residual: float
 
 
-def laurent_basis(seq, m, w=None, grid=None, gram_tol=1e-6):
-    """P_0..P_m by the coupled recursion, with an orthonormality audit.
+def _top_exponents(m):
+    """Exponent of the leading term of P_0..P_m: 0, -1, 1, -2, 2, ..."""
+    k = np.arange(m + 1)
+    return np.where(k % 2 == 0, k // 2, -(k // 2 + 1))
 
-    Runs on the twisted coefficients -a_{-1} conj(a_k) (see module note), so
-    the system is orthonormal under w*dm for w = spectral_density(seq).
-    Raises NumericalError if the Gram residual exceeds gram_tol.
+
+def laurent_basis(seq, m, w=None, grid=None, gram_tol=1e-6):
+    """P_0..P_m from the Szego polynomials, with an orthonormality audit.
+
+    With phi*_n = szego_polynomial(a_0..a_{n-1}) / (rho_0...rho_{n-1}) and
+    phi_n its conjugate reversal, P_{2k} = t^-k phi_{2k} and
+    P_{2k+1} = -conj(a_{-1}) t^-(k+1) phi*_{2k+1}, orthonormal under w*dm
+    for w = spectral_density(seq).  Raises NumericalError if the Gram
+    residual exceeds gram_tol.
     """
     grid = grid or default_grid()
     if m > grid.size // 4:
@@ -337,45 +300,27 @@ def laurent_basis(seq, m, w=None, grid=None, gram_tol=1e-6):
     if w is None:
         w = spectral_density(seq, grid)
 
-    am1 = seq.a_minus1
-    twisted = lambda k: -am1 * np.conj(seq.coeff(k))
-    rho = seq.rho
+    a = np.array([seq.coeff(k) for k in range(m)], dtype=np.complex128)
+    norms = np.cumprod(np.concatenate(([1.0], np.sqrt(1.0 - np.abs(a) ** 2))))
+    half = (m + 1) // 2
+    coef = np.zeros((m + 1, 2 * half + 1), dtype=np.complex128)
+    for n in range(m + 1):
+        star = szego_polynomial(a[:n]) / norms[n]
+        lo = half - (n + 1) // 2
+        coef[n, lo: lo + n + 1] = (
+            np.conj(star[::-1]) if n % 2 == 0 else -np.conj(seq.a_minus1) * star)
+    leading = coef[np.arange(m + 1), half + _top_exponents(m)]
 
-    polys = [Laurent(0, [1.0])]
-    # P_1 from the n=0 inverse identity with rho_{-1} = 0
-    p1 = (Laurent(-1, [-np.conj(am1)]) - Laurent(0, [np.conj(twisted(0))])) * (1.0 / rho(0))
-    polys.append(p1)
-    n = 0
-    while len(polys) <= m:
-        p_even, p_odd = polys[2 * n], polys[2 * n + 1]
-        # t { rho_{2n} P_{2n} - A_{2n} P_{2n+1} } = A_{2n+1} P_{2n+1} + rho_{2n+1} P_{2n+2}
-        nxt = ((rho(2 * n) * p_even - twisted(2 * n) * p_odd).shift(1)
-               - twisted(2 * n + 1) * p_odd) * (1.0 / rho(2 * n + 1))
-        polys.append(nxt)
-        if len(polys) > m:
-            break
-        n += 1
-        # t^{-1} { rho_{2n-1} P_{2n-1} - conj(A_{2n-1}) P_{2n} } =
-        #       conj(A_{2n}) P_{2n} + rho_{2n} P_{2n+1}
-        p_odd, p_even = polys[2 * n - 1], polys[2 * n]
-        nxt = ((rho(2 * n - 1) * p_odd - np.conj(twisted(2 * n - 1)) * p_even).shift(-1)
-               - np.conj(twisted(2 * n)) * p_even) * (1.0 / rho(2 * n))
-        polys.append(nxt)
-    polys = polys[: m + 1]
-
-    leading = np.empty(m + 1, dtype=np.complex128)
-    for k, p in enumerate(polys):
-        top = k // 2 if k % 2 == 0 else -(k // 2 + 1)
-        leading[k] = p.coeff(top)
-
-    samples = np.vstack([p.sample(grid.nodes) for p in polys])
+    spec = np.zeros((m + 1, grid.size), dtype=np.complex128)
+    spec[:, np.arange(-half, half + 1) % grid.size] = coef
+    samples = np.fft.ifft(spec, axis=1, norm="forward")
     weighted = samples * w.samples.real[None, :]
     gram = weighted @ samples.conj().T / grid.size
     gram_residual = float(np.max(np.abs(gram - np.eye(m + 1))))
     if gram_residual > gram_tol:
         raise NumericalError(
             f"Laurent basis lost orthonormality: Gram residual {gram_residual:.3e}")
-    return LaurentBasis(polys, leading, samples, gram_residual)
+    return LaurentBasis(coef, leading, samples, gram_residual)
 
 
 def gram_schmidt_basis(seq, m, grid=None):
@@ -383,27 +328,18 @@ def gram_schmidt_basis(seq, m, grid=None):
 
     Moment matrix entries come from the Fourier coefficients of the density,
     and the triangular solve fixes positive leading coefficients; the CMV
-    phase convention is restored with powers of -conj(a_minus1).
+    phase convention is restored with powers of -conj(a_minus1).  Returns
+    the coefficients in the layout of LaurentBasis.coef.
     """
     grid = grid or default_grid()
     w = spectral_density(seq, grid)
-    exps = [0]
-    for k in range(1, m + 1):
-        exps.append(-(k // 2 + 1) if k % 2 == 1 else k // 2)
-    wc = w.coeffs()
-    n = grid.size
-    moments = np.empty((m + 1, m + 1), dtype=np.complex128)
-    for i, ei in enumerate(exps):
-        for j, ej in enumerate(exps):
-            moments[i, j] = wc[(ej - ei) % n]
+    exps = _top_exponents(m)
+    moments = w.coeffs()[(exps[None, :] - exps[:, None]) % grid.size]
     low = np.linalg.cholesky(moments)
     # coefficient columns T must satisfy T^T G conj(T) = I, so T = inv(L^T)
     trans = np.linalg.inv(low.T)
-    phases = np.array([(-np.conj(seq.a_minus1)) ** (k % 2) for k in range(m + 1)])
-    polys = []
-    for k in range(m + 1):
-        poly = Laurent(0, [0.0])
-        for i in range(k + 1):
-            poly = poly - Laurent(exps[i], [-phases[k] * trans[i, k]])
-        polys.append(poly)
-    return polys, exps
+    phases = (-np.conj(seq.a_minus1)) ** (np.arange(m + 1) % 2)
+    half = (m + 1) // 2
+    coef = np.zeros((m + 1, 2 * half + 1), dtype=np.complex128)
+    coef[:, half + exps] = (trans * phases).T
+    return coef

@@ -203,6 +203,33 @@ def test_list_trunc_must_hold_positive_orders(command, trunc, a05_json, tmp_path
     assert not list(tmp_path.glob("x.*"))
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["glm", "--order", "0"], "--order must be at least 1", id="glm-order-0"),
+    pytest.param(["classify", "--trunc", "0"], "--trunc must be a positive order",
+                 id="classify-trunc-0"),
+    pytest.param(["classify", "--radius", "1.5"], "--radius must lie in (0, 1]",
+                 id="radius-above-1"),
+    pytest.param(["classify", "--radius", "-0.5"], "--radius must lie in (0, 1]",
+                 id="radius-negative"),
+    pytest.param(["classify", "--radius", "nan"], "--radius must lie in (0, 1]", id="radius-nan"),
+    pytest.param(["inverse", "--order", "-1"], "--order must be at least 0",
+                 id="inverse-order-negative"),
+    pytest.param(["classify", "--trunc", "32"], "Hankel order 32 too small",
+                 id="classify-s-trunc-32"),
+])
+def test_bad_values_rejected_where_they_enter(argv, message, a05_json, tmp_path, capsys):
+    # out-of-range values are input errors, caught before any output is
+    # written; inverse and the last classify case read an s CSV
+    src = a05_json
+    if argv[0] == "inverse" or argv[-1] == "32":
+        main(["forward", "--input", a05_json, "--out", str(tmp_path / "a05"), "--grid", "1024"])
+        src = str(tmp_path / "a05.s.csv")
+    capsys.readouterr()
+    assert main(argv + ["--input", src, "--out", str(tmp_path / "x"), "--grid", "1024"]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_inverse_trunc_beyond_coefficient_window(a05_json, tmp_path, capsys):
     # --trunc 1024 passes the grid/4 check at N = 4096, but the shifted
     # master needs 2M - 1 + n_max + 2 negative coefficients and the grid

@@ -3,6 +3,7 @@ import pytest
 
 from cmvscatter import (
     CircleFunction,
+    HankelOp,
     NearSingularError,
     VerblunskySeq,
     forward_scatter,
@@ -326,35 +327,31 @@ def _dense_norm(neg, rows, cols):
 def test_hankel_norm_matches_svd(grid4096, seed):
     # complex coefficients, random unimodular a_minus1, square and
     # rectangular (M x (M + shift)) masters, orders 1 and 2
-    from cmvscatter.hankel import hankel_norm
-
     rng = np.random.default_rng(seed)
     neg = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), 256,
                              max_shift=14).neg
     for rows, cols in ((256, 256), (256, 270), (64, 78), (100, 37),
                        (1, 1), (1, 3), (2, 2), (2, 5), (3, 1)):
-        assert abs(hankel_norm(neg, rows, cols) - _dense_norm(neg, rows, cols)) < 1e-14
+        sigma = HankelOp(rows, neg, cols=cols).sigma_max()
+        assert abs(sigma - _dense_norm(neg, rows, cols)) < 1e-14
 
 
 def test_hankel_norm_edge_operators():
-    from cmvscatter.hankel import hankel_norm
-
     neg = np.zeros(64, dtype=complex)
-    assert hankel_norm(neg, 16, 20) == 0.0
-    assert hankel_norm(neg, 0, 0) == 0.0
+    assert HankelOp(16, neg, cols=20).sigma_max() == 0.0
+    assert HankelOp(0, neg, cols=0).sigma_max() == 0.0
     neg[0] = 1.0  # sigma exactly 1
-    assert abs(hankel_norm(neg, 16, 20) - 1.0) < 1e-14
+    assert abs(HankelOp(16, neg, cols=20).sigma_max() - 1.0) < 1e-14
     assert _dense_norm(neg, 16, 20) == 1.0
     with pytest.raises(ValueError, match="coefficients"):
-        hankel_norm(neg, 40, 40)
+        HankelOp(40, neg, cols=40)
 
 
 def test_hankel_norm_deterministic(grid4096):
-    from cmvscatter.hankel import hankel_norm
-
+    # two operators on the same coefficients, so the cache plays no part
     rng = np.random.default_rng(45)
     neg = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), 512).neg
-    assert hankel_norm(neg, 512, 512) == hankel_norm(neg, 512, 512)
+    assert HankelOp(512, neg).sigma_max() == HankelOp(512, neg).sigma_max()
 
 
 def test_hankel_norm_refuses_unconverged(grid4096, monkeypatch):
@@ -365,7 +362,7 @@ def test_hankel_norm_refuses_unconverged(grid4096, monkeypatch):
     neg = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), 256).neg
     monkeypatch.setattr(hankel, "LANCZOS_MAX_STEPS", 2)
     with pytest.raises(NumericalError, match="did not converge"):
-        hankel.hankel_norm(neg, 256, 256)
+        hankel.HankelOp(256, neg).sigma_max()
 
 
 def _dense_block_solve(h, r=1.0):
@@ -373,7 +370,7 @@ def _dense_block_solve(h, r=1.0):
     import scipy.linalg
 
     m = h.order
-    mat = h.neg[h.shift:][np.add.outer(np.arange(m), np.arange(m))]
+    mat = h.neg[np.add.outer(np.arange(m), np.arange(m))]
     e0 = np.zeros(m, dtype=complex)
     e0[0] = 1.0
     system = np.eye(m) - (r * r) * (mat.conj().T @ mat)
@@ -507,7 +504,7 @@ def test_point_evaluation_forms_no_matrix(grid, monkeypatch):
 
 def _dense_det(h):
     """The reference det(I - H*H): slogdet of the formed Gram."""
-    w = h.neg[np.add.outer(np.arange(h.order), np.arange(h.cols)) + h.shift]
+    w = h.neg[np.add.outer(np.arange(h.order), np.arange(h.cols))]
     sign, logdet = np.linalg.slogdet(np.eye(h.cols) - w.conj().T @ w)
     return float(sign.real * np.exp(logdet))
 

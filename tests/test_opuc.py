@@ -273,10 +273,11 @@ def test_laurent_first_element(grid):
     # P_1 = -conj(a_minus1) (1/t - a_0)/rho_0 under the resolved convention
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
     basis = laurent_basis(seq, 2, grid=grid)
-    p1 = basis.polys[1]
+    p1 = basis.coef[1]  # exponents -1, 0, 1
     rho0 = np.sqrt(0.75)
-    assert abs(p1.coeff(-1) - (-1.0 / rho0)) < 1e-12
-    assert abs(p1.coeff(0) - 0.5 / rho0) < 1e-12
+    assert abs(p1[0] - (-1.0 / rho0)) < 1e-12
+    assert abs(p1[1] - 0.5 / rho0) < 1e-12
+    assert p1[2] == 0.0
 
 
 def test_laurent_gram(grid, corpus):
@@ -299,10 +300,7 @@ def test_laurent_matches_gram_schmidt_oracle(grid):
     for _ in range(3):
         seq = random_complex_seq(rng, 4, max_mod=0.6)
         basis = laurent_basis(seq, 12, grid=grid)
-        oracle, _ = gram_schmidt_basis(seq, 12, grid=grid)
-        for p, q in zip(basis.polys, oracle):
-            lo, hi = min(p.lo, q.lo), max(p.hi, q.hi)
-            gap = max(
-                abs(p.coeff(e) - q.coeff(e)) for e in range(lo, hi + 1)
-            )
-            assert gap < 1e-7
+        oracle = gram_schmidt_basis(seq, 12, grid=grid)
+        assert oracle.shape == basis.coef.shape
+        for p, q in zip(basis.coef, oracle):
+            assert np.max(np.abs(p - q)) < 1e-7

@@ -303,3 +303,19 @@ def test_asymptotics_monotone_and_exact_past_support(grid):
         if 2 * n >= seq.support + 2:
             assert even < 1e-10
             assert odd < 1e-10
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    mods=st.lists(st.floats(0.0, 0.5), max_size=6),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6),
+    theta=st.floats(0.0, 2.0 * np.pi),
+)
+def test_asymptotics_property(mods, phases, theta):
+    # complex coefficients and any unimodular a_minus1, as AC9 checks on the
+    # real corpus with a_minus1 = -1
+    seq = VerblunskySeq(a_minus1=np.exp(1j * theta),
+                        a=tuple(m * np.exp(1j * p) for m, p in zip(mods, phases)))
+    start = (seq.support + 2 + 1) // 2
+    res = szego_asymptotics_residual(seq, list(range(start, start + 3)), CircleGrid(4096))
+    assert max(max(even, odd) for _, even, odd in res) <= 1e-10
