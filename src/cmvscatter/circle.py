@@ -304,33 +304,33 @@ def write_circle_csv(path, f, config=None):
 def read_circle_csv(path):
     """Read a CircleFunction written by write_circle_csv.
 
-    Returns (function, config dict); unknown grid sizes, an index column
-    that does not list 0..N-1 exactly once, and thetas off their grid nodes
-    by more than 1e-12 raise ValueError.
+    Returns (function, config dict); unknown grid sizes, rows without
+    exactly four numeric fields, an index column that does not list 0..N-1
+    exactly once, thetas off their grid nodes by more than 1e-12 and
+    non-finite samples raise ValueError.
     """
-    config = {}
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# config:"):
-                    for item in line[len("# config:"):].split(","):
-                        if "=" in item:
-                            k, v = item.split("=", 1)
-                            config[k.strip()] = v.strip()
-                continue
-            if line.startswith("index,"):
-                continue
-            rows.append(line.split(","))
+        lines = [line.strip() for line in fh]
+    config = {}
+    for line in lines:
+        if line.startswith("# config:"):
+            for item in line[len("# config:"):].split(","):
+                if "=" in item:
+                    k, v = item.split("=", 1)
+                    config[k.strip()] = v.strip()
+    rows = [line for line in lines if line and not line.startswith(("#", "index,"))]
     n = len(rows)
     if not _is_power_of_two(n) or n < 16:
         raise ValueError(f"CSV has {n} rows; expected a power of two >= 16")
-    if any(len(row) != 4 for row in rows):
-        raise ValueError("CSV rows must have the four fields index,theta,re,im")
-    vals = np.array(rows, dtype=float)
+    four_fields = "CSV rows must have the four fields index,theta,re,im"
+    try:
+        vals = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        if any(row.count(",") != 3 for row in rows):
+            raise ValueError(four_fields) from exc
+        raise ValueError(f"CSV field is not a number: {exc}") from exc
+    if vals.shape[1] != 4:
+        raise ValueError(four_fields)
     if not np.array_equal(np.sort(vals[:, 0]), np.arange(n)):
         raise ValueError(f"CSV index column must list 0..{n - 1} exactly once")
     idx = vals[:, 0].astype(np.int64)

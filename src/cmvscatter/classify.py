@@ -24,6 +24,10 @@ WINDOW_GROWTH_LIMIT = 0.10
 #: window-doubling heuristic is meaningless noise.
 MIN_WINDOW_SUPPORT = 16
 
+#: Columns of the GLM block behind `glm_column_norm`, built at Hankel order
+#: min(M, 128); it fits when that order is at least (GLM_COLUMNS + 1) // 2.
+GLM_COLUMNS = 16
+
 
 def besov_half_norm(f):
     """sum_k |k| |c_k|^2 over the available frequency window.
@@ -232,10 +236,11 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
     gi_member = hs_member and not gi_divergent and not besov_divergent and index == 0
 
     glm_column_norm = None
-    if hs_member and seq is not None:
+    glm_order = min(M, 128)
+    if hs_member and seq is not None and glm_order >= (GLM_COLUMNS + 1) // 2:
         try:
             # regularity was decided above at order M; glm_matrix need not redo it
-            glm = glm_matrix(data, 16, min(M, 128), check_regular=False)
+            glm = glm_matrix(data, GLM_COLUMNS, glm_order, check_regular=False)
             glm_column_norm = float(np.max(np.linalg.norm(glm.mat, axis=0)))
         except (RegularityError, RuntimeError):
             glm_column_norm = None

@@ -15,7 +15,9 @@ reorthogonalization serves two readers: the norm, which is cached and
 gates every regularity decision through the gap 1 - ||W||, and the Widom
 determinant det(I - W*W) = prod(1 - theta_i) over the Ritz values.  Every
 solve with I - r^2 W_n* W_n, square (solve_block) or shifted (the inverse
-map), runs its one conjugate-gradient loop.  By Kronecker's theorem a
+map), runs its one conjugate-gradient loop, which takes a sequence of
+shifts as the independent rows of one block, so all the shifts of a
+caller share each step's FFTs.  By Kronecker's theorem a
 symbol of degree p has a Hankel operator of rank at most p, so CG stops
 after about p - n steps and the determinant's Lanczos after about p.
 """
@@ -82,12 +84,13 @@ class HankelOp:
     def _corr(self, x, m):
         """(V x)[:m] for V[k, j] = c[k + j], c the coefficients W reads, by
         two FFTs of a length n >= len(c), so no index wraps while
-        m + len(x) - 1 <= len(c).  W x is _corr(x, order)."""
+        m + len(x) - 1 <= len(c).  W x is _corr(x, order).  A block x is
+        taken row by row: the FFTs run along its last axis."""
         if self._spec is None:
             c = np.asarray(self.neg[: self.order + self.cols - 1], dtype=np.complex128)
             n = 1 << (len(c) - 1).bit_length()
             self._spec = np.fft.fft(c, n) * n
-        return np.fft.ifft(self._spec * np.fft.ifft(x, len(self._spec)))[:m]
+        return np.fft.ifft(self._spec * np.fft.ifft(x, len(self._spec)))[..., :m]
 
     def _gram(self, x):
         """W*W x, with W* z = conj(W^T conj z) and W^T of the same Hankel structure."""
@@ -198,49 +201,77 @@ class HankelOp:
         sign, logdet = np.linalg.slogdet(np.eye(self.cols) - w.conj().T @ w)
         return float(sign.real * np.exp(logdet)) if sign != 0 else 0.0
 
-    def solve(self, n=0, rhs=None, r=1.0):
-        """x = (I - r^2 W_n* W_n)^{-1} rhs by conjugate gradients from 0;
-        rhs defaults to e0, which gives u_n.
+    def solve(self, shifts=0, rhs=None, r=1.0):
+        """x_n = (I - r^2 W_n* W_n)^{-1} rhs_n by conjugate gradients from 0,
+        for one shift n or a sequence of them; each rhs_n defaults to e0,
+        which gives u_n.  One shift returns one vector, a sequence returns
+        one vector per shift, given as a sequence of right-hand sides or
+        None each.
 
-        W_n x = W [0_n; x] and W_n* z = (W* z)[n:].  CG stops when the
-        recurrence residual reaches 1e-15 max(||rhs||, 1) or after cols - n
-        steps.  A step with p*Ap <= 0 raises NumericalError, and so does a
-        true residual ||A x - rhs||, recomputed with the same operator,
-        above 1e-10 max(||rhs||, 1) / (1 - (r sigma)^2), where
-        sigma = ||W|| bounds ||W_n||.
+        The shifts run as the independent rows of one (shifts x cols)
+        block, batched for speed, not block CG: row n is zero in columns
+        below n, so W_n x = W [0_n; x] and W_n* z = (W* z)[n:] hold row by
+        row, and each step applies W*W to the active rows at once by FFTs
+        along the last axis.  Each row has its own step sizes and leaves
+        the active set when its recurrence residual reaches
+        1e-15 max(||rhs_n||, 1) or after cols - n steps.  A step with
+        p*Ap <= 0 in any row raises NumericalError, and so does a true
+        residual ||A x - rhs||, recomputed with the same operator, above
+        1e-10 max(||rhs_n||, 1) / (1 - (r sigma)^2) in any row, where
+        sigma = ||W|| bounds every ||W_n||.
         """
-        cols = self.cols - n
-        rhs = np.eye(cols, 1, dtype=np.complex128)[:, 0] if rhs is None else rhs
-        pad = np.zeros(self.cols, dtype=np.complex128)
+        single = np.ndim(shifts) == 0
+        if single:
+            shifts, rhs = [shifts], [rhs]
+        elif rhs is None:
+            rhs = [None] * len(shifts)
+        shifts = np.array(shifts, dtype=np.int64)
+        cols = self.cols
+        mask = np.arange(cols) >= shifts[:, None]
+        b = np.zeros((len(shifts), cols), dtype=np.complex128)
+        for row, n, v in zip(b, shifts, rhs):
+            if v is None:
+                row[n] = 1.0
+            else:
+                row[n:] = v
 
-        def system(v):
-            pad[n:] = v
-            return v - (r * r) * self._gram(pad)[n:]
+        def system(v, rows):
+            return v - (r * r) * (mask[rows] * self._gram(v))
 
-        scale = max(float(np.linalg.norm(rhs)), 1.0)
-        x = np.zeros(cols, dtype=np.complex128)
-        res = np.array(rhs, dtype=np.complex128)
-        p = res.copy()
-        rs = np.vdot(res, res).real
-        for _ in range(cols):
-            if np.sqrt(rs) <= 1e-15 * scale:
+        scale = np.maximum(np.linalg.norm(b, axis=1), 1.0)
+        steps = cols - shifts
+        x = np.zeros_like(b)
+        res = b.copy()
+        p = b.copy()
+        rs = np.sum(np.abs(res) ** 2, axis=1)
+        for step in range(cols):
+            # once a row stops its rs is frozen, so it never rejoins
+            act = np.flatnonzero((np.sqrt(rs) > 1e-15 * scale) & (step < steps))
+            if not len(act):
                 break
-            ap = system(p)
-            curvature = np.vdot(p, ap).real
-            if not curvature > 0.0:
+            pa = p[act]
+            ap = system(pa, act)
+            curvature = np.sum(np.conj(pa) * ap, axis=1).real
+            if not np.all(curvature > 0.0):
                 raise NumericalError(
-                    f"block system is not positive definite (p*Ap = {curvature:.3e})")
-            alpha = rs / curvature
-            x += alpha * p
-            res -= alpha * ap
-            rs_next = np.vdot(res, res).real
-            p = res + (rs_next / rs) * p
-            rs = rs_next
-        resid = float(np.linalg.norm(system(x) - rhs))
-        if resid > 1e-10 * scale / max(1.0 - (r * self.sigma_max()) ** 2, 1e-300):
+                    "block system is not positive definite "
+                    f"(p*Ap = {curvature.min():.3e})")
+            alpha = rs[act] / curvature
+            x[act] += alpha[:, None] * pa
+            ra = res[act] - alpha[:, None] * ap
+            rs_next = np.sum(np.abs(ra) ** 2, axis=1)
+            res[act] = ra
+            p[act] = ra + (rs_next / rs[act])[:, None] * pa
+            rs[act] = rs_next
+        resid = np.linalg.norm(system(x, slice(None)) - b, axis=1)
+        bound = 1e-10 * scale / max(1.0 - (r * self.sigma_max()) ** 2, 1e-300)
+        if np.any(resid > bound):
+            worst = int(np.argmax(resid / bound))
             raise NumericalError(
-                f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
-        return x
+                f"block solve residual {resid[worst]:.3e} exceeds 1e-10 * condition "
+                f"estimate (shift {shifts[worst]})")
+        out = [row[n:] for row, n in zip(x, shifts)]
+        return out[0] if single else out
 
 
 def hankel_from_symbol(s, M, max_shift=0):

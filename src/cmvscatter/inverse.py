@@ -3,7 +3,7 @@
 Everything the map reads comes from one hankel.HankelOp, the master W of s
 with M rows and M + max_shift columns, whose column blocks W_n = W[:, n:]
 are the Hankel operators of t^n s.  Its norm gates the one-to-one regime
-once for every shift, and its conjugate-gradient solves give
+once for every shift, and one batched conjugate-gradient call gives every
 u_n = (I - W_n* W_n)^{-1} e0 without forming a matrix.  u_n[0] gives the
 rho ladder, rho_n = sqrt(u_{n+1}[0] / u_n[0]), and the kernel ratio at the
 origin the twisted coefficient b_n = -conj(a_{-1}) a_n.  The unimodular
@@ -17,6 +17,11 @@ where phi, psi are rebuilt from the recovered b's; a least-squares mean
 over the grid realizes it.  One forward map of the recovered sequence then
 audits the result: the spread of -s conj(D)/D, which is the constant a_{-1}
 in the regular regime, and the distance to the input samples.
+
+The GLM transform and L take their columns from the same batched call.
+The GLM factorization residual checks them against a dense reference that
+shares nothing with CG: the inverse of [[I, H*], [H, I]], read from its
+order-M Schur complement I - H*H.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     grid = s.grid
     master = _regular_master(s, M, n_max + 2)
     warnings = []
-    u = [master.solve(n) for n in range(n_max + 2)]
+    u = master.solve(range(n_max + 2))
     u0 = np.array([x[0].real for x in u])
     rho = np.sqrt(u0[1:] / u0[:-1])
     # b_n = -(H_n* (I - H_n H_n*)^{-1} e0)[0] / u_n[0], read off u_n because
@@ -170,29 +175,39 @@ def _as_scattering(source, grid=None):
     raise TypeError(f"expected VerblunskySeq or ScatteringData, got {type(source)!r}")
 
 
+def _check_glm_order(m, M):
+    # the odd rows of the GLM block read W_n vectors, which have M entries
+    if M < (m + 1) // 2:
+        raise ValueError(f"a GLM block of order {m} needs Hankel order >= {(m + 1) // 2}, "
+                         f"got {M}")
+
+
 def glm_matrix(source, m, M, grid=None, check_regular=True):
     """Columns of the GLM transform in the alternating monomial basis.
 
     Column n comes from the n-shift of the master, with A_n = I - W_n* W_n:
     rows n, n+2, ... hold u = A_n^{-1} e0 (even n) or v = e0 - W_n q
-    (odd n), rows n+1, n+3, ... hold -W_n u or q = -A_n^{-1} conj(W[0, n:]),
-    one more CG solve; odd columns carry the -a_{-1} phase.  The diagonal
-    is rho_0...rho_{n-1}/D(0) up to that phase.
+    (odd n), rows n+1, n+3, ... hold -W_n u or q = -A_n^{-1} conj(W[0, n:]);
+    all m solves run as one batched CG call.  Odd columns carry the -a_{-1}
+    phase.  The diagonal is rho_0...rho_{n-1}/D(0) up to that phase.
+    Raises ValueError when M < (m + 1) // 2, too short for the block.
     """
+    _check_glm_order(m, M)
     data = _as_scattering(source, grid)
     if check_regular:
         rep = regularity_test(s=data.s, d0=data.d0, M=M)
         if not rep.regular:
             raise RegularityError(f"GLM transform needs the regular regime: {rep.reason}")
     master = _regular_master(data.s, M, m)
+    rhs = [None if n % 2 == 0 else np.conj(master.neg[n: master.cols]) for n in range(m)]
     out = np.zeros((m, m), dtype=np.complex128)
-    for n in range(m):
+    for n, x in enumerate(master.solve(range(m), rhs)):
         if n % 2 == 0:
-            first = master.solve(n)
+            first = x
             second = -master.apply(n, first)
             scale = 1.0 / np.sqrt(first[0].real)
         else:
-            second = -master.solve(n, np.conj(master.neg[n: master.cols]))
+            second = -x
             first = -master.apply(n, second)
             first[0] += 1.0
             scale = -data.a_minus1 / np.sqrt(first[0].real)
@@ -201,20 +216,40 @@ def glm_matrix(source, m, M, grid=None, check_regular=True):
     return GlmMatrix(m, out)
 
 
+def _glm_reference(h, m):
+    """The GLM rows and columns of B^{-1}, B = [[I, H*], [H, I]] for a dense
+    square H, read from its Schur complement A = I - H*H:
+
+        B^{-1} = [[A^{-1}, -A^{-1} H*], [-H A^{-1}, I + H A^{-1} H*]].
+
+    GLM index 2k is index k of the top half and 2k + 1 index k of the bottom
+    one, so one solve of A against the first (m+1)//2 unit columns and the
+    first m//2 columns of H* gives every entry read.
+    """
+    M, even, odd = len(h), (m + 1) // 2, m // 2
+    hs = h.conj().T
+    sol = np.linalg.solve(np.eye(M) - hs @ h, np.hstack((np.eye(M, even), hs[:, :odd])))
+    ainv, ainv_hs = sol[:, :even], sol[:, even:]
+    ref = np.empty((m, m), dtype=np.complex128)
+    ref[0::2, 0::2] = ainv[:even]
+    ref[0::2, 1::2] = -ainv_hs[:even]
+    ref[1::2, 0::2] = -(h[:odd] @ ainv)
+    ref[1::2, 1::2] = np.eye(odd) + h[:odd] @ ainv_hs
+    return ref
+
+
 def glm_factorization_residual(source, m, M, grid=None, glm=None):
     """Relative Frobenius gap between the reordered block-inverse and GLM * GLM^*.
 
-    The reference side is a dense inverse of the square order-M block
-    operator, independent of the CG solves; pass `glm` to reuse a GLM
-    matrix already built from the same source.
+    The reference side is a dense order-M solve (_glm_reference),
+    independent of the CG solves; pass `glm` to reuse a GLM matrix already
+    built from the same source.
     """
+    _check_glm_order(m, M)
     data = _as_scattering(source, grid)
     if glm is None:
         glm = glm_matrix(data, m, M)
-    h = hankel_from_symbol(data.s, M).mat
-    binv = np.linalg.inv(np.block([[np.eye(M), h.conj().T], [h, np.eye(M)]]))
-    idx = np.array([r // 2 if r % 2 == 0 else M + r // 2 for r in range(m)])
-    lhs = binv[np.ix_(idx, idx)]
+    lhs = _glm_reference(hankel_from_symbol(data.s, M).mat, m)
     rhs = glm.mat @ glm.mat.conj().T
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
@@ -232,8 +267,7 @@ def l_matrix(source, m, M, grid=None):
     s = source if isinstance(source, CircleFunction) else _as_scattering(source, grid).s
     master = _regular_master(s, M, m)
     out = np.zeros((m, m), dtype=np.complex128)
-    for n in range(m):
-        u = master.solve(n)
+    for n, u in enumerate(master.solve(range(m))):
         out[n:, n] = u[: m - n] / np.sqrt(u[0].real)
         out[n, n] = np.sqrt(u[0].real)
     w = master.mat

@@ -298,6 +298,30 @@ def test_csv_non_finite_sample_rejected(a05_json, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, cause", [
+    (lambda row: row[:3], "four fields"),
+    (lambda row: row + ["0"], "four fields"),
+    (lambda row: row[:2] + ["0.5x"] + row[3:], "not a number"),
+], ids=["3-fields", "5-fields", "non-numeric"])
+def test_csv_malformed_row_rejected(a05_json, tmp_path, capsys, edit, cause):
+    lines = _csv_lines(a05_json, tmp_path)
+    lines[2 + 9] = ",".join(edit(lines[2 + 9].split(",")))
+    assert _inverse_exit(tmp_path, lines) == 2
+    assert cause in capsys.readouterr().err
+
+
+def test_classify_fits_the_glm_block_to_the_truncation(a05_json, tmp_path):
+    # the 16-column GLM block reads 8 rows of order-min(M, 128) vectors:
+    # below --trunc 8 glm_column_norm is null, not a broadcast error
+    for trunc in (1, 2, 3, 4, 5, 6, 7, 8, 15, 16):
+        out = tmp_path / f"c{trunc}"
+        assert main(["classify", "--input", a05_json, "--grid", "1024",
+                     "--trunc", str(trunc), "--out", str(out)]) == 0
+        rep = json.loads(out.with_suffix(".classify.json").read_text())
+        norm = rep["diagnostics"]["glm_column_norm"]
+        assert (norm is None) if trunc < 8 else norm > 1.0
+
+
 def test_classify_and_inverse_deterministic(a05_json, tmp_path):
     s_csv = tmp_path / "a05.s.csv"
     main(["forward", "--input", a05_json, "--out", str(tmp_path / "a05"), "--grid", "2048"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvscatter import (
     CircleFunction,
@@ -289,6 +291,56 @@ def test_shifted_cg_matches_dense_solves(grid4096):
     assert abs(rep.a_minus1 - seq.a_minus1) < 1e-6
 
 
+def _property_symbol(grid, mods, phases, theta):
+    seq = VerblunskySeq(a_minus1=np.exp(1j * theta),
+                        a=tuple(m * np.exp(1j * p) for m, p in zip(mods, phases)))
+    return _symbol(grid, seq)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    mods=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=6),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6),
+    theta=st.floats(0.0, 2.0 * np.pi),
+    order=st.sampled_from([64, 256]),
+)
+def test_batched_shifted_solve_property(grid4096, mods, phases, theta, order):
+    # each row of one batched call, with e0 and GLM-style right-hand sides
+    # conj(W[0, n:]) mixed, matches a dense solve of its trailing Gram block
+    # and the one-row call, so no row's iterates depend on another row's;
+    # the tolerance scales like CG's stop test, by max(||ref||, 1), since
+    # conj(W[0, n:]) is rounding noise for n past the support
+    shifts = 8
+    s = _property_symbol(grid4096, mods, phases, theta)
+    master = hankel_from_symbol(s, order, max_shift=shifts)
+    w = _dense_master(s, order, shifts)
+    a = np.eye(w.shape[1]) - w.conj().T @ w
+    rhs = [None if n % 3 else np.conj(w[0, n:]) for n in range(shifts)]
+    for n, (x, b) in enumerate(zip(master.solve(range(shifts), rhs), rhs)):
+        ref = np.linalg.solve(a[n:, n:], np.eye(w.shape[1] - n, 1)[:, 0] if b is None else b)
+        tol = 1e-12 * max(np.linalg.norm(ref), 1.0)
+        assert np.linalg.norm(x - ref) <= tol
+        assert np.linalg.norm(x - master.solve(n, b)) <= tol
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    mods=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=6),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6),
+    theta=st.floats(0.0, 2.0 * np.pi),
+    order=st.sampled_from([64, 256]),
+)
+def test_hankel_symmetry_property(grid4096, mods, phases, theta, order):
+    # H = H^T, so I - HH* = conj(I - H*H): the co-analytic solve is the
+    # conjugate of the analytic one, and it matches a dense solve of I - HH*
+    h = hankel_from_symbol(_property_symbol(grid4096, mods, phases, theta), order)
+    assert np.array_equal(h.mat, h.mat.T)
+    x = solve_block(h, "unit_H2")
+    assert np.array_equal(solve_block(h, "unit_H2minus"), np.conj(x))
+    ref = np.linalg.solve(np.eye(order) - h.mat @ h.mat.conj().T, np.eye(order, 1)[:, 0])
+    assert np.linalg.norm(np.conj(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_shifted_solves_gate_on_the_master_norm(grid4096):
     from cmvscatter import RegularityError, l_matrix, recover_verblunsky
 
@@ -415,13 +467,14 @@ def test_solve_block_refuses_indefinite_system():
 def test_cg_refuses_an_unconverged_residual():
     # K stands for both W and W^T, which is no adjoint pair when K is not
     # symmetric: the recurrence residual vanishes in 3 steps but the true
-    # residual of the non-Hermitian system does not, and the gate refuses
+    # residual of the non-Hermitian system does not, and the gate refuses;
+    # like _corr, the stand-in applies K to each row of a block
     from cmvscatter import NumericalError
     from cmvscatter.hankel import HankelOp
 
     k = 0.3 * np.random.default_rng(52).normal(size=(3, 3))
     op = HankelOp(3, np.zeros(5, dtype=complex))
-    op._corr = lambda x, m: (k @ x)[:m]
+    op._corr = lambda x, m: (x @ k.T)[..., :m]
     op._sigma = 0.5
     with pytest.raises(NumericalError, match="condition estimate"):
         op.solve(0)

@@ -179,6 +179,44 @@ def test_glm_factorization_three_coefficients(grid4096):
     assert residual < 1e-5
 
 
+def test_glm_refuses_a_block_longer_than_its_vectors(grid):
+    # rows 1, 3, ... of a GLM block of order m read m//2 entries of W_n
+    # vectors with M entries, and the reference reads (m+1)//2 of each half
+    seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
+    for m, M in ((16, 7), (15, 7)):
+        with pytest.raises(ValueError, match="needs Hankel order"):
+            glm_matrix(seq, m, M, grid=grid)
+        with pytest.raises(ValueError, match="needs Hankel order"):
+            glm_factorization_residual(seq, m, M, grid=grid)
+    assert glm_matrix(seq, 15, 8, grid=grid).mat.shape == (15, 15)
+
+
+def _dense_glm_reference(h, m):
+    """The GLM rows and columns of the dense 2M x 2M inverse of [[I, H*], [H, I]]."""
+    M = len(h)
+    binv = np.linalg.inv(np.block([[np.eye(M), h.conj().T], [h, np.eye(M)]]))
+    idx = np.array([r // 2 if r % 2 == 0 else M + r // 2 for r in range(m)])
+    return binv[np.ix_(idx, idx)]
+
+
+@pytest.mark.parametrize("support", [1, 2, 3, 4, 5, 6, "jacobi"])
+def test_glm_reference_matches_the_dense_block_inverse(support):
+    # complex coefficients with |a_k| <= 0.5 and a random unimodular
+    # a_minus1, and the Helson-Szego weight |t-1|^{1/2} truncated at 2000
+    from cmvscatter import CircleGrid, hankel_from_symbol
+    from cmvscatter.classify import jacobi_verblunsky
+    from cmvscatter.inverse import _glm_reference
+
+    if support == "jacobi":
+        seq = jacobi_verblunsky(0.25, 0.0, 2000)
+    else:
+        seq = random_complex_seq(np.random.default_rng(70 + support), support, max_mod=0.5)
+    h = hankel_from_symbol(forward_scatter(seq, CircleGrid(16384)).s, 256).mat
+    for m in (8, 16):
+        ref = _dense_glm_reference(h, m)
+        assert np.linalg.norm(_glm_reference(h, m) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_glm_requires_regular():
     from cmvscatter import CircleGrid
     from cmvscatter.scatter import ScatteringData
