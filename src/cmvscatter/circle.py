@@ -10,10 +10,19 @@ so coefficient arrays use the numpy.fft frequency layout (index k for
 (or on its exterior) are held as one-sided coefficient lists; outer
 functions are built in the log domain through the conjugate-function
 multiplier, never by quadrature.
+
+Circle functions travel as CSV rows "index,theta,re,im".  The writer
+prints each float byte for byte as '%.17g' would, from digits rounded in
+long double where the error bound certifies the rounding and from one '%'
+call per block for the rest; where long double is plain double, every
+value takes the '%' path and only the speed changes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import types
 import warnings
 from dataclasses import dataclass, field
 
@@ -274,31 +283,221 @@ def herglotz_from_density(w, grid=None):
 # CSV interchange: rows "index,theta,re,im", exact float round trip
 # ---------------------------------------------------------------------------
 
-#: Rows formatted per `%` call; bounds the size of each string written.
-CSV_BLOCK_ROWS = 4096
-_CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
+#: Rows formatted per block; bounds the memory each block takes.
+CSV_BLOCK_ROWS = 2048
+
+# Values are formatted as '%.17g' in numpy.  Each value fills a 48-byte
+# slot, NUL where nothing is printed, which translate(None, b"\0") drops:
+#   byte 0        the sign
+#   bytes 1-5     "0." and up to three zeros, for decimal exponents -1..-4
+#   byte 6 + 2i   digit i of 17, and byte 7 + 2i the point if it follows
+#   bytes 40-44   the exponent, "e+dd" to "e-ddd"
+#   byte 45       the field's terminator, "," or "\n", set by the writer
+# Tables hold the bytes at these offsets as uint64 words, so a slot is
+# filled word by word from table lookups and byte order never enters.
+
+
+def _words(b):
+    """The uint64 words of an array of bytes whose last axis is 8k long."""
+    b = np.ascontiguousarray(b, dtype=np.uint8)
+    return b.view(np.uint64)
+
+
+#: Powers of ten 10^p that scale a float64 to 17 digits, and the decimal
+#: exponents a float64 can print.
+_P_LO, _P_HI = -293, 341
+_E_LO, _E_HI = -330, 330
+
+
+@functools.cache
+def _g17_tables():
+    """The lookup tables of _format_g17, built on its first call, so a
+    command that writes no CSV never builds them."""
+    t = types.SimpleNamespace()
+    # 10^p in long double: exact through 10^27 (5^27 < 2^64), correctly
+    # rounded beyond
+    t.pow10 = np.array([f"1e{p}" for p in range(_P_LO, _P_HI + 1)], dtype=np.longdouble)
+    # The rounding error of y = |x| 10^p, relative to y, is at most eps/2
+    # (half an ulp) when 10^p is exact and under 2 eps otherwise; the 0.1%
+    # margin covers the float64 arithmetic of the certification check.  A
+    # long double that is not IEEE (double-double) gets an infinite bound,
+    # so every value takes the '%' fallback.
+    ld = np.finfo(np.longdouble)
+    eps = float(ld.eps) if ld.nmant in (52, 63, 112) else np.inf
+    p = np.arange(_P_LO, _P_HI + 1)
+    t.bound = np.where((p >= 0) & (p <= 27), 0.5, 2.0) * eps * 1.001
+
+    # a 4-digit group at the even bytes of a word
+    b = np.zeros((10, 10, 10, 10, 8), np.uint8)
+    for place in range(4):
+        b[..., 2 * place] = (np.arange(10) + 48).reshape((10,) + (1,) * (3 - place))
+    t.digits4 = _words(b.reshape(-1, 8))[:, 0]
+
+    # word 0 at 100 * (point after digit 0) + 50 * sign + 10 * zeros + digit 0
+    b = np.zeros((2, 2, 5, 10, 8), np.uint8)
+    b[1, ..., 7] = ord(".")
+    b[:, 1, ..., 0] = ord("-")
+    b[..., 1:6] = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], dtype="S5").view(
+        np.uint8).reshape(5, 1, 5)
+    b[..., 6] = np.arange(10) + 48
+    t.word0 = _words(b.reshape(-1, 8))[:, 0]
+
+    # word 5 by decimal exponent: empty where '%.17g' prints fixed notation
+    t.exponent = _words(np.array([b"" if -4 <= e < 17 else b"e%+03d" % e
+                                  for e in range(_E_LO, _E_HI + 1)], dtype="S8").view(
+        np.uint8).reshape(-1, 8))[:, 0]
+
+    # For trailing zeros: the index among the 17 digits of the last nonzero
+    # digit of 4-digit group j, at 10000 j + group, and 0 for a zero group.
+    g = np.arange(10000, dtype=np.int16)
+    last = (4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)).astype(np.uint8)
+    t.last_digit = ((np.arange(0, 16, 4, dtype=np.uint8)[:, None] + last) * (g != 0)).ravel()
+    # Words 0-4 of a value whose last nonzero digit is L and whose point
+    # follows digit P (-4 <= P <= 16), at 21 L + P + 4: digits past
+    # max(L, P) are masked off, and the point is kept only when digits follow.
+    L = np.arange(17)[:, None, None]
+    P = np.arange(-4, 17)[None, :, None]
+    i = np.arange(17)
+    b = np.zeros((17, 21, 40), np.uint8)
+    b[..., :6] = 255
+    b[..., 6::2] = np.where(i <= np.maximum(L, P), 255, 0)
+    t.trim_and = _words(b.reshape(-1, 40))
+    b = np.zeros((17, 21, 40), np.uint8)
+    b[..., 7::2] = np.where((i == P) & (P < L), ord("."), 0)
+    t.trim_or = _words(b.reshape(-1, 40))
+    return t
+
+
+def _format_g17(x):
+    """The (n, 6) uint64 slots of '%.17g' % v for every float64 v in x.
+
+    The 17 digits are round(|x| 10^(16 - k)) for the decimal exponent k,
+    scaled in long double.  A value whose rounding the long double error
+    bound cannot certify, or that is not finite, takes one '%' call.
+    """
+    t = _g17_tables()
+    n = len(x)
+    out = np.empty((n, 6), dtype=np.uint64)
+    ax = np.abs(x)
+    zero = ax == 0
+    finite = np.isfinite(x) & ~zero
+    safe = np.where(finite, ax, 1.0)
+    k = np.floor(np.log10(safe)).astype(np.int64)
+    lx = safe.astype(np.longdouble)
+    y = lx * t.pow10[16 - k - _P_LO]
+    r = np.rint(y)
+    d = r.astype(np.int64)
+    fix = np.flatnonzero((d < 10 ** 16) | (d > 10 ** 17))  # log10 off by one
+    if len(fix):
+        k[fix] += np.where(d[fix] > 10 ** 17, 1, -1)
+        y[fix] = lx[fix] * t.pow10[16 - k[fix] - _P_LO]
+        r[fix] = np.rint(y[fix])
+        d[fix] = r[fix].astype(np.int64)
+    # certified: |y - exact| < bound < distance from y to the nearest half,
+    # and 10^16 < d excludes the one rounding that may cross 10^16 from below
+    margin = 0.5 - np.abs((y - r).astype(np.float64))
+    certified = (finite & (margin > d * t.bound[16 - k - _P_LO])
+                 & (d > 10 ** 16) & (d <= 10 ** 17))
+    d[~certified] = 10 ** 16  # in range for the lookups; '%' rewrites these slots
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    k += carry
+    k[zero] = 0
+    d[zero] = 0
+    hi = d // 100000000
+    lo = d - hi * 100000000
+    lead = hi // 100000000
+    group = np.empty((n, 4), np.int64)
+    group[:, 0] = hi // 10000 - lead * 10000
+    group[:, 1] = hi % 10000
+    group[:, 2] = lo // 10000
+    group[:, 3] = lo % 10000
+    # the point follows digit k in fixed notation (k < 0: in the "0.000"
+    # prefix) and digit 0 in scientific notation
+    point = np.where((k >= -4) & (k < 17), k, 0)
+    out[:, 0] = t.word0[(point == 0) * 100 + np.signbit(x) * 50 + np.maximum(-point, 0) * 10 + lead]
+    out[:, 1:5] = t.digits4[group]
+    out[:, 5] = t.exponent[k - _E_LO]
+    zeros = np.flatnonzero(zero)
+    if len(zeros):
+        out[zeros, 0] = t.word0[np.signbit(x[zeros]) * 50]  # "0" or "-0"
+        out[zeros, 1:5] = 0
+    # trailing zeros to drop (the last digit is 0), or a point past word 0
+    trim = np.flatnonzero((lo % 10 == 0) & ~zero | (point > 0) & (point < 16))
+    if len(trim):
+        groups = group[trim] + np.array([0, 10000, 20000, 30000])
+        at = t.last_digit[groups].max(axis=1).astype(np.int64) * 21 + point[trim] + 4
+        out[trim, :5] = out[trim, :5] & t.trim_and[at] | t.trim_or[at]
+    rest = np.flatnonzero(~certified & ~zero)
+    if len(rest):
+        out[rest] = _percent_slots(x[rest])
+    return out
+
+
+def _percent_slots(x):
+    """The slots of '%.17g' % v for every v in x, from one '%' call."""
+    text = ("%.17g," * len(x) % tuple(x.tolist())).encode()
+    return _words(np.array(text.split(b",")[:-1], dtype="S48").view(np.uint8).reshape(-1, 48))
+
+
+def _index_field(start, stop, words):
+    """The uint64 words of "j," for each row j, right-aligned in 8 * words bytes."""
+    j = np.arange(start, stop)
+    b = np.zeros((stop - start, 8 * words), np.uint8)
+    b[:, -1] = ord(",")
+    for place in range(len(str(stop - 1))):
+        p = 10 ** place
+        b[:, -2 - place] = np.where((j >= p) | (place == 0), j // p % 10 + 48, 0)
+    return _words(b)
 
 
 def write_circle_csv(path, f, config=None):
     """Write a CircleFunction; `config` (a dict) is embedded as a comment.
 
     Values are printed at 17 significant digits, which round-trips every
-    float64 exactly.
+    float64 exactly.  `path` and `f` may also be equal-length sequences of
+    paths and functions on one grid; the files then share the formatting of
+    their index,theta columns.
+
+    The bytes are those of '%.17g' % x.  Each block of rows is laid out in
+    numpy: the 17 digits come from scaling |x| by a power of ten in long
+    double, and the rounding is used only where the long double error
+    bound certifies it.  Other values (about 0.35% of the forward map's
+    samples, and every non-finite one) take one '%' call per block, and on
+    a platform whose long double is plain double every value does: the
+    output stays exact, only slower.
     """
-    n = f.grid.size
-    columns = (f.grid.thetas, f.samples.real, f.samples.imag)
-    with open(path, "w") as fh:
-        if config:
-            items = ",".join(f"{k}={config[k]}" for k in sorted(config))
-            fh.write(f"# config: {items}\n")
-        fh.write("index,theta,re,im\n")
+    if isinstance(f, CircleFunction):
+        path, f = [path], [f]
+    grid = f[0].grid
+    if len(path) != len(f) or any(g.grid.size != grid.size for g in f):
+        raise ValueError("write_circle_csv needs one path per function, all on one grid")
+    n = grid.size
+    head = "index,theta,re,im\n"
+    if config:
+        items = ",".join(f"{k}={config[k]}" for k in sorted(config))
+        head = f"# config: {items}\n" + head
+    iw = len(str(n - 1)) // 8 + 1  # words of the "index," field
+    # a row of NUL but for the terminators of the theta, re and im slots
+    ends = np.frombuffer(bytes(8 * iw) + b"".join(bytes(45) + end + bytes(2)
+                                                  for end in (b",", b",", b"\n")), dtype=np.uint64)
+    thetas = grid.thetas
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", newline="\n")) for p in path]
+        for fh in files:
+            fh.write(head)
+            fh.flush()  # the rows go straight to the binary buffer below
         for start in range(0, n, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n)
-            values = [None] * (4 * (stop - start))  # row-major: index, theta, re, im
-            values[0::4] = range(start, stop)
-            for i, column in enumerate(columns, 1):
-                values[i::4] = column[start:stop].tolist()
-            fh.write(_CSV_ROW * (stop - start) % tuple(values))
+            buf = bytearray(8 * (iw + 18) * (stop - start))
+            rows = np.frombuffer(buf, dtype=np.uint64).reshape(stop - start, iw + 18)
+            rows[:, :iw] = _index_field(start, stop, iw)
+            rows[:, iw: iw + 6] = _format_g17(thetas[start:stop])
+            for fh, g in zip(files, f):
+                rows[:, iw + 6: iw + 12] = _format_g17(g.samples.real[start:stop])
+                rows[:, iw + 12:] = _format_g17(g.samples.imag[start:stop])
+                rows |= ends
+                fh.buffer.write(buf.translate(None, b"\0"))
 
 
 def read_circle_csv(path):
@@ -309,16 +508,17 @@ def read_circle_csv(path):
     exactly once, thetas off their grid nodes by more than 1e-12 and
     non-finite samples raise ValueError.
     """
+    config, rows = {}, []
     with open(path) as fh:
-        lines = [line.strip() for line in fh]
-    config = {}
-    for line in lines:
-        if line.startswith("# config:"):
-            for item in line[len("# config:"):].split(","):
-                if "=" in item:
-                    k, v = item.split("=", 1)
-                    config[k.strip()] = v.strip()
-    rows = [line for line in lines if line and not line.startswith(("#", "index,"))]
+        for line in map(str.strip, fh):
+            if not line.startswith(("#", "index,")):
+                if line:
+                    rows.append(line)
+            elif line.startswith("# config:"):
+                for item in line[len("# config:"):].split(","):
+                    if "=" in item:
+                        k, v = item.split("=", 1)
+                        config[k.strip()] = v.strip()
     n = len(rows)
     if not _is_power_of_two(n) or n < 16:
         raise ValueError(f"CSV has {n} rows; expected a power of two >= 16")

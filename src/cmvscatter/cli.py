@@ -106,7 +106,11 @@ def cmd_forward(args):
     cfg = _config_dict(args, command="forward", input=str(args.input))
     prefix = _out_prefix(args, "forward")
     s_path = prefix.with_suffix(".s.csv")
-    write_circle_csv(s_path, data.s, cfg)
+    paths, funcs = [s_path], [data.s]
+    if args.weight:
+        paths.append(prefix.with_suffix(".w.csv"))
+        funcs.append(data.w)
+    write_circle_csv(paths, funcs, cfg)  # the files share their index,theta columns
     _write_json(prefix.with_suffix(".meta.json"), {
         "a_minus1": [data.a_minus1.real, data.a_minus1.imag],
         "D0": data.d0,
@@ -114,8 +118,6 @@ def cmd_forward(args):
         "clamped_nodes": int(data.clamped.sum()),
         "config": cfg,
     })
-    if args.weight:
-        write_circle_csv(prefix.with_suffix(".w.csv"), data.w, cfg)
     print(f"forward: wrote {s_path} (D0 = {data.d0:.12g}, "
           f"{int(data.clamped.sum())} clamped nodes)")
     return EXIT_OK

@@ -197,9 +197,25 @@ class HankelOp:
         return self._dense_det()
 
     def _dense_det(self):
-        w = self.mat
-        sign, logdet = np.linalg.slogdet(np.eye(self.cols) - w.conj().T @ w)
+        sign, logdet = np.linalg.slogdet(np.eye(self.cols) - self._dense_gram())
         return float(sign.real * np.exp(logdet)) if sign != 0 else 0.0
+
+    def _dense_gram(self):
+        """W*W from its first row in O(cols^2): moving one row and one
+        column along drops the products with c[i], c[j] and adds those with
+        c[i + order], c[j + order], so
+        G[i+1, j+1] = G[i, j] + conj(c[i+order]) c[j+order] - conj(c[i]) c[j]."""
+        order, cols = self.order, self.cols
+        c = np.asarray(self.neg[: order + cols - 1], dtype=np.complex128)
+        cc = np.conj(c)
+        g = np.empty((cols, cols), dtype=np.complex128)
+        g[0] = cc[:order] @ self.mat
+        for i in range(cols - 1):
+            g[i + 1, i + 1:] = (g[i, i:-1] + cc[i + order] * c[i + order:]
+                                - cc[i] * c[i: cols - 1])
+        lower = np.tril_indices(cols, -1)
+        g[lower] = np.conj(g.T[lower])
+        return g
 
     def solve(self, shifts=0, rhs=None, r=1.0):
         """x_n = (I - r^2 W_n* W_n)^{-1} rhs_n by conjugate gradients from 0,

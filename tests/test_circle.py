@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvscatter import (
     CircleFunction,
@@ -12,6 +14,7 @@ from cmvscatter import (
     read_circle_csv,
     write_circle_csv,
 )
+from cmvscatter import circle
 from cmvscatter.circle import parseval_gap
 
 
@@ -273,3 +276,78 @@ def test_csv_writer_matches_per_row_format(tmp_path, monkeypatch, size, block):
         g, _ = read_circle_csv(path)
         assert np.array_equal(g.samples.real.view(np.uint64), f.samples.real.view(np.uint64))
         assert np.array_equal(g.samples.imag.view(np.uint64), f.samples.imag.view(np.uint64))
+
+
+def _g17_lines(x):
+    """The writer's formatter applied to x, one value per line."""
+    slots = circle._format_g17(np.asarray(x, dtype=np.float64)).view(np.uint8)
+    slots[:, 45] = ord("\n")
+    return slots.tobytes().translate(None, b"\0").decode("ascii").splitlines()
+
+
+def _g17_corpus():
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    halves = np.arange(-50, 50) + 0.5
+    edges = np.array([1e16, 1e17, 2.0 ** 53, 2.0 ** 56, 9.9999999999999995e-5, 1e-4, 1e-5,
+                      99999999999999992.0, 10000000000000002.0])
+    # scaled by an inexact 10^p, these land more than half an ulp from the
+    # exact product and on the wrong side of a half: only the bound of two
+    # ulps sends them to the '%' path
+    scaled = [float.fromhex(h) for h in (
+        "-0x1.90f129581bc41p+354", "0x1.a1935e0c73043p-401", "-0x1.463223e91cdd1p+691",
+        "-0x1.af9ffdfe4fa2dp+839", "0x1.918e476f475dfp+158", "-0x1.cb872663f7427p+839",
+        "0x1.cec4bff1a5e17p-205", "0x1.4922e3d1d39ebp+711", "0x1.0ef4f8e3cc4cap-258",
+        "-0x1.67b28a8e9e741p-792", "0x1.9d55b34a2b519p-916", "0x1.680864a33e894p-702")]
+    integers = np.concatenate([np.arange(-1000, 1000), 10 ** np.arange(18) - 1,
+                               np.random.default_rng(7).integers(0, 10 ** 17, 500)])
+    values = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308,
+                              1.7976931348623157e308, np.inf, -np.inf, np.nan],
+                             scaled, tens, edges, halves, integers.astype(np.float64)])
+    with np.errstate(over="ignore"):
+        values = np.concatenate([values, np.nextafter(values, np.inf),
+                                 np.nextafter(values, -np.inf)])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_format_g17_corpus(monkeypatch, fallback):
+    # fallback: an infinite rounding bound, as on a platform whose long double
+    # is plain double, sends every value through the '%' path
+    if fallback:
+        tables = circle._g17_tables()
+        monkeypatch.setattr(tables, "bound", np.full_like(tables.bound, np.inf))
+    x = _g17_corpus()
+    assert _g17_lines(x) == ["%.17g" % v for v in x.tolist()]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40),
+       st.lists(st.integers(0, 2 ** 64 - 1), max_size=40))
+def test_format_g17_matches_format_property(floats, bits):
+    x = np.concatenate([np.array(floats, dtype=np.float64),
+                        np.array(bits, dtype=np.uint64).view(np.float64)])
+    assert _g17_lines(x) == [format(v, ".17g") for v in x.tolist()]
+
+
+def test_format_g17_certifies_most_values(monkeypatch):
+    # the long double path, not the '%' fallback, formats the bulk of the values
+    sent = []
+    percent = circle._percent_slots
+    monkeypatch.setattr(circle, "_percent_slots", lambda x: sent.append(len(x)) or percent(x))
+    x = np.random.default_rng(3).normal(size=20000) * 10.0 ** np.arange(-8, 8).repeat(1250)
+    assert _g17_lines(x) == ["%.17g" % v for v in x.tolist()]
+    assert sum(sent) < 0.02 * len(x)
+
+
+def test_csv_writer_shares_index_theta_between_files(tmp_path):
+    grid = CircleGrid(64)
+    rng = np.random.default_rng(8)
+    f = CircleFunction(grid, rng.normal(size=64) + 1j * rng.normal(size=64))
+    g = CircleFunction(grid, rng.normal(size=64))
+    config = {"grid": 64, "command": "test"}
+    write_circle_csv([tmp_path / "f.csv", tmp_path / "g.csv"], [f, g], config)
+    for name, h in (("f.csv", f), ("g.csv", g)):
+        assert (tmp_path / name).read_text() == _reference_csv_text(h, config)
+    coarse = CircleFunction(CircleGrid(32), np.ones(32))
+    with pytest.raises(ValueError):
+        write_circle_csv([tmp_path / "f.csv", tmp_path / "g.csv"], [f, coarse])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmvscatter import (
     CircleFunction,
@@ -12,7 +14,7 @@ from cmvscatter import (
     recover_verblunsky,
 )
 
-from conftest import random_complex_seq
+from conftest import random_complex_seq, resolved_by
 
 
 def test_recover_free(grid4096):
@@ -22,6 +24,25 @@ def test_recover_free(grid4096):
     assert np.max(np.abs(rep.rho - 1.0)) < 1e-12
     assert abs(rep.a_minus1 + 1.0) < 1e-12
     assert rep.regular
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    mods=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=6),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6),
+    theta=st.floats(0.0, 2.0 * np.pi),
+)
+def test_roundtrip_property(grid4096, mods, phases, theta):
+    # AC1 at the shipped N = 4096, M = 256, for complex coefficients and a
+    # general unimodular a_minus1, on grids that resolve 1/Phi
+    seq = VerblunskySeq(a_minus1=np.exp(1j * theta),
+                        a=tuple(m * np.exp(1j * p) for m, p in zip(mods, phases)))
+    assume(resolved_by(grid4096, seq.a))
+    rep = recover_verblunsky(forward_scatter(seq, grid4096).s, n_max=8, M=256)
+    full = np.zeros(9, dtype=complex)
+    full[: seq.support] = seq.a
+    assert np.max(np.abs(rep.a - full)) <= 1e-6
+    assert abs(rep.a_minus1 - seq.a_minus1) <= 1e-6
 
 
 def test_recover_single(grid4096):
