@@ -11,8 +11,6 @@ from .circle import (
     DiskFunction,
     conjugate_function,
     default_grid,
-    fourier_coeffs,
-    herglotz_from_density,
     outer_from_modulus_squared,
     read_circle_csv,
     write_circle_csv,

@@ -102,16 +102,6 @@ class CircleFunction:
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.size, value, dtype=np.complex128))
 
-    @classmethod
-    def from_coeffs(cls, grid, coeffs):
-        """Inverse transform; `coeffs` is in numpy.fft layout."""
-        return cls(grid, np.fft.ifft(np.asarray(coeffs, dtype=np.complex128)) * grid.size)
-
-
-def fourier_coeffs(f):
-    """Coefficient array of a CircleFunction, numpy.fft layout."""
-    return f.coeffs()
-
 
 def parseval_gap(f):
     """Relative gap between sum_k |ghat(k)|^2 and the mean square of samples."""
@@ -142,24 +132,6 @@ def conjugate_function(u):
     mult[n // 2] = 0.0
     tilde = np.fft.ifft(mult * c) * n
     return CircleFunction(u.grid, tilde.real)
-
-
-def clamped_log(w_samples, warn=True):
-    """Log of a nonnegative weight with near-zeros clamped.
-
-    Returns (log values, boolean mask of clamped nodes).  Clamping is never
-    silent: any clamped node raises a ConditioningWarning unless warn=False.
-    """
-    w = np.asarray(w_samples, dtype=float)
-    mask = w < CLAMP_THRESHOLD
-    if warn and mask.any():
-        warnings.warn(
-            f"weight has {int(mask.sum())} sample(s) below {CLAMP_THRESHOLD:g}; "
-            "logs clamped, accuracy reduced near those nodes",
-            ConditioningWarning,
-            stacklevel=3,
-        )
-    return np.log(np.maximum(w, np.exp(LOG_FLOOR))), mask
 
 
 class DiskFunction:
@@ -229,14 +201,23 @@ def disk_from_boundary(samples, grid, kind="interior"):
     return DiskFunction(keep, kind), tail
 
 
-def outer_boundary_samples(w, grid=None, warn=True):
+def outer_boundary_samples(w, grid=None):
     """Boundary values of the outer function of a weight, pointwise exact:
-    the modulus equals sqrt of the (clamped) weight sample by sample."""
+    the modulus equals sqrt of the (clamped) weight sample by sample.  Any
+    clamped sample raises a ConditioningWarning."""
     grid = grid or w.grid
     ws = _require_real(w.samples, "weight")
     if np.any(ws < 0):
         raise ValueError(f"weight must be nonnegative (min sample {ws.min():.3e})")
-    logw, _ = clamped_log(ws, warn=warn)
+    clamped = int(np.count_nonzero(ws < CLAMP_THRESHOLD))
+    if clamped:
+        warnings.warn(
+            f"weight has {clamped} sample(s) below {CLAMP_THRESHOLD:g}; "
+            "logs clamped, accuracy reduced near those nodes",
+            ConditioningWarning,
+            stacklevel=2,
+        )
+    logw = np.log(np.maximum(ws, np.exp(LOG_FLOOR)))
     c = np.fft.fft(logw) / grid.size
     half = grid.size // 2
     # (1/2)(log w + i conj(log w)) has coefficients c0/2 at k=0 and c_k for
@@ -262,21 +243,6 @@ def outer_from_modulus_squared(w, grid=None):
     boundary = outer_boundary_samples(w, grid)
     out, _ = disk_from_boundary(boundary, grid, kind="interior")
     return out
-
-
-def herglotz_from_density(w, grid=None):
-    """Herglotz transform R of a nonnegative density: R(0) = what(0) and
-    Re R(rt) -> w(t) as r -> 1."""
-    grid = grid or w.grid
-    ws = _require_real(w.samples, "density")
-    if np.any(ws < -1e-12):
-        raise ValueError(f"density must be nonnegative (min sample {ws.min():.3e})")
-    c = np.fft.fft(np.maximum(ws, 0.0)) / grid.size
-    half = grid.size // 2
-    coef = np.empty(half, dtype=np.complex128)
-    coef[0] = c[0].real
-    coef[1:] = 2.0 * c[1:half]
-    return DiskFunction(coef, "interior")
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,8 @@ def build_parser():
         description="Forward and inverse scattering for CMV matrices")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True, trunc_default=256, trunc_list=False):
+    def common(p, needs_input=True, trunc_default=None, trunc_list=False):
+        # only the commands that read --trunc take it
         if needs_input:
             p.add_argument("--input", required=True, help="input file")
         p.add_argument("--out", default=None, help="output path prefix")
@@ -270,7 +271,7 @@ def build_parser():
         if trunc_list:
             p.add_argument("--trunc", type=_int_list, default=trunc_default,
                            help="comma-separated truncation orders")
-        else:
+        elif trunc_default is not None:
             p.add_argument("--trunc", type=int, default=trunc_default,
                            help="Hankel truncation order")
 
@@ -280,14 +281,14 @@ def build_parser():
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("inverse", help="scattering CSV -> recovery JSON")
-    common(p)
+    common(p, trunc_default=256)
     p.add_argument("--order", type=int, default=12, help="highest coefficient to recover")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when the data is not in the one-to-one regime")
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("roundtrip", help="forward then inverse, report the gap")
-    common(p)
+    common(p, trunc_default=256)
     p.add_argument("--order", type=int, default=12)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_roundtrip)
@@ -297,7 +298,7 @@ def build_parser():
     p.set_defaults(func=cmd_widom)
 
     p = sub.add_parser("classify", help="class membership report")
-    common(p)
+    common(p, trunc_default=256)
     p.add_argument("--radius", type=float, default=0.95, help="winding-number radius")
     p.set_defaults(func=cmd_classify)
 

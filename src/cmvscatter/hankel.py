@@ -78,9 +78,6 @@ class HankelOp:
         """Square order-M operator of the symbol times t^n (exact index shift)."""
         return HankelOp(self.order, self.neg[n:])
 
-    def frobenius_sq(self):
-        return float(np.sum(np.abs(self.mat) ** 2))
-
     def _corr(self, x, m):
         """(V x)[:m] for V[k, j] = c[k + j], c the coefficients W reads, by
         two FFTs of a length n >= len(c), so no index wraps while

@@ -13,10 +13,14 @@ pointwise identity
 
     a_{-1} = -(s conj(psi) + psi conj(phi)) / (s phi conj(psi) + psi),
 
-where phi, psi are rebuilt from the recovered b's; a least-squares mean
-over the grid realizes it.  One forward map of the recovered sequence then
-audits the result: the spread of -s conj(D)/D, which is the constant a_{-1}
-in the regular regime, and the distance to the input samples.
+where phi = t f, f the Schur function with parameters b, and its outer
+companion psi are ratios of the Szego polynomials P of b and Q of -b
+(Geronimus): phi = (Q - P)/(Q + P), psi = 2 sqrt(c)/(Q + P), with
+c = prod(1 - |b_k|^2).  So the inverse map takes no log and clamps
+nothing; a least-squares mean over the grid realizes the identity.  One
+forward map of the recovered sequence then audits the result: the spread
+of -s conj(D)/D, which is the constant a_{-1} in the regular regime, and
+the distance to the input samples.
 
 The GLM transform and L take their columns from the same batched call.
 The GLM factorization residual checks them against a dense reference that
@@ -30,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleFunction, outer_boundary_samples
+from .circle import CircleFunction
 from .errors import NumericalError, RegularityError
 from .hankel import hankel_from_symbol, regularity_test
-from .opuc import VerblunskySeq, schur_function
+from .opuc import VerblunskySeq, szego_boundary
 from .scatter import ScatteringData, forward_scatter
 
 
@@ -84,6 +88,14 @@ def _kept_nodes(data, halo=3):
     return keep
 
 
+def _phi_psi(b, grid):
+    """phi and psi of the module docstring at the grid nodes, with P and Q
+    through szego_boundary's evaluation gate."""
+    c, p = szego_boundary(b, grid)
+    _, q = szego_boundary(-b, grid)
+    return (q - p) / (q + p), 2.0 * np.sqrt(c) / (q + p)
+
+
 def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     """Recover a_0..a_{n_max}, the rho ladder, and a_{-1} from samples of s.
 
@@ -110,12 +122,7 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
         raise NumericalError(
             f"recovered coefficient modulus reached {np.abs(b).max():.9g}; solver failed")
 
-    # phi, psi from the recovered twisted coefficients
-    t = grid.nodes
-    phi_t = t * schur_function(b, t)
-    psi_t = outer_boundary_samples(
-        CircleFunction(grid, np.maximum(1.0 - np.abs(phi_t) ** 2, 0.0)), grid)
-
+    phi_t, psi_t = _phi_psi(b, grid)
     num = -(s.samples * np.conj(psi_t) + psi_t * np.conj(phi_t))
     den = s.samples * phi_t * np.conj(psi_t) + psi_t
     lam = np.sum(num * np.conj(den)) / max(np.sum(np.abs(den) ** 2), 1e-300)

@@ -5,12 +5,13 @@ coefficients a_0..a_{M-1}, carried out on polynomials instead of point
 values: for a finitely supported sequence it is w = c/|Phi|^2 with
 c = prod(1 - |a_k|^2) and one degree-M polynomial Phi (the Szego
 polynomial), zero-free on the closed disk with Phi(0) = 1, whose values at
-the grid nodes come from one FFT.  `schur_function` keeps the pointwise
-recursion as an independent reference.  The density depends only on
-a_0, a_1, ...; the unimodular a_{-1} enters the scattering function and
-the phases of the orthonormal Laurent basis, whose elements are the
-orthonormal polynomials of the same Szego recursion, arranged as in
-Cantero-Moral-Velazquez.
+the grid nodes come from one FFT (`szego_boundary`; the inverse map also
+evaluates the pair of its coefficients b and -b there).  `schur_function`
+keeps the pointwise recursion as an independent reference.  The density
+depends only on a_0, a_1, ...; the unimodular a_{-1} enters the scattering
+function and the phases of the orthonormal Laurent basis, whose elements
+are the orthonormal polynomials of the same Szego recursion, arranged as
+in Cantero-Moral-Velazquez.
 
 Convention note (conjugation calibration, documented once here): the
 five-diagonal matrix is built verbatim from the user's coefficients, and
@@ -127,17 +128,18 @@ def szego_polynomial(a):
     return phi
 
 
-def szego_boundary(seq, grid):
-    """(c, Phi(t_j)): c = prod(1 - |a_k|^2) and the Szego polynomial at the
-    grid nodes, by one FFT of its coefficients folded modulo N (exact for
-    any support).  w = c/|Phi|^2, D = sqrt(c)/Phi, s = -a_{-1} conj(Phi)/Phi.
+def szego_boundary(a, grid):
+    """(c, Phi(t_j)): c = prod(1 - |a_k|^2) and the Szego polynomial of the
+    coefficients a at the grid nodes, by one FFT of its coefficients folded
+    modulo N (exact for any support).  w = c/|Phi|^2, D = sqrt(c)/Phi,
+    s = -a_{-1} conj(Phi)/Phi.
 
     Raises NumericalError when a value is zero or not finite, or when the
     evaluation error bound eps * sum|phi_k| / min|Phi(t_j)| exceeds
     EVAL_BOUND_LIMIT.
     """
     n = grid.size
-    a = np.asarray(seq.a, dtype=np.complex128)
+    a = np.asarray(a, dtype=np.complex128)
     if not a.imag.any():
         a = a.real  # real coefficients keep Phi real at half the cost
     c = float(np.prod(1.0 - np.abs(a) ** 2))
@@ -161,7 +163,7 @@ def spectral_density(seq, grid=None):
     Positive by construction.  The density does not involve a_minus1.
     """
     grid = grid or default_grid()
-    c, phi_t = szego_boundary(seq, grid)
+    c, phi_t = szego_boundary(seq.a, grid)
     return CircleFunction(grid, c / np.abs(phi_t) ** 2)
 
 

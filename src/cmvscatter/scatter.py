@@ -65,7 +65,7 @@ def forward_scatter(seq, grid=None):
     Raises NumericalError when Phi cannot be evaluated accurately on the grid.
     """
     grid = grid or default_grid()
-    c, phi_t = szego_boundary(seq, grid)
+    c, phi_t = szego_boundary(seq.a, grid)
     w = CircleFunction(grid, c / np.abs(phi_t) ** 2)
     d0 = float(np.sqrt(c))
     D, tail = disk_from_boundary(d0 / phi_t, grid, kind="interior")

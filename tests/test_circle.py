@@ -8,8 +8,6 @@ from cmvscatter import (
     CircleGrid,
     ConditioningWarning,
     conjugate_function,
-    fourier_coeffs,
-    herglotz_from_density,
     outer_from_modulus_squared,
     read_circle_csv,
     write_circle_csv,
@@ -29,7 +27,7 @@ def test_grid_validation():
 
 def test_fourier_constant(grid):
     f = CircleFunction.constant(grid, 1.0)
-    c = fourier_coeffs(f)
+    c = f.coeffs()
     assert abs(c[0] - 1.0) < 1e-14
     assert np.max(np.abs(c[1:])) < 1e-14
 
@@ -54,9 +52,9 @@ def test_fourier_roundtrip_and_real_symmetry(grid):
     rng = np.random.default_rng(1)
     samples = rng.normal(size=grid.size)
     f = CircleFunction(grid, samples)
-    back = CircleFunction.from_coeffs(grid, f.coeffs())
-    assert np.max(np.abs(back.samples - f.samples)) < 1e-12 * np.max(np.abs(samples))
     c = f.coeffs()
+    back = np.fft.ifft(c) * grid.size
+    assert np.max(np.abs(back - f.samples)) < 1e-12 * np.max(np.abs(samples))
     for k in (1, 2, 17, 100):
         assert abs(c[-k] - np.conj(c[k])) < 1e-12
 
@@ -166,47 +164,6 @@ def test_outer_multiplicative(grid):
     prod = o1.boundary(grid).samples * o2.boundary(grid).samples
     scale = np.max(np.abs(prod))
     assert np.max(np.abs(o12.boundary(grid).samples - prod)) < 1e-9 * scale
-
-
-def test_herglotz_unit(grid):
-    R = herglotz_from_density(CircleFunction.constant(grid, 1.0))
-    assert abs(R.at_zero() - 1.0) < 1e-13
-    assert np.max(np.abs(R.coef[1:])) < 1e-13
-
-
-def test_herglotz_rational(grid):
-    t = grid.nodes
-    w = CircleFunction(grid, 0.75 / np.abs(1.0 - 0.5 * t) ** 2)
-    R = herglotz_from_density(w)
-    # brute-force Poisson integral as the oracle at interior points
-    for z in (0.3, -0.2 + 0.4j, 0.1 - 0.6j):
-        oracle = np.mean((t + z) / (t - z) * w.samples.real)
-        closed = (1.0 + z / 2.0) / (1.0 - z / 2.0)
-        assert abs(R(z) - oracle) < 1e-9
-        assert abs(R(z) - closed) < 1e-9
-
-
-def test_herglotz_quartic_first_coeff(grid):
-    # |1-t|^4/6 = (6 - 4t - 4conj(t) + t^2 + conj(t)^2)/6: what(1) = -2/3
-    t = grid.nodes
-    R = herglotz_from_density(CircleFunction(grid, np.abs(1.0 - t) ** 4 / 6.0))
-    assert abs(R.at_zero() - 1.0) < 1e-12
-    assert abs(R.coef[1] - (-4.0 / 3.0)) < 1e-12
-
-
-def test_herglotz_boundary_reproduces_density(grid):
-    rng = np.random.default_rng(4)
-    t = grid.nodes
-    w = 1.2 + 0.3 * np.cos(5 * grid.thetas) + 0.2 * np.sin(2 * grid.thetas)
-    R = herglotz_from_density(CircleFunction(grid, w))
-    assert np.max(np.abs(R.boundary(grid).samples.real - w)) < 1e-8
-
-
-def test_herglotz_rejects_negative(grid):
-    w = np.ones(grid.size)
-    w[0] = -1e-6
-    with pytest.raises(ValueError):
-        herglotz_from_density(CircleFunction(grid, w))
 
 
 def test_disk_interior_matches_abel_sum(grid):

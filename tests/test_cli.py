@@ -181,6 +181,40 @@ def test_demo_nonunique_command(tmp_path, capsys):
     assert abs(rep["common_s_regularity"]["rhs"] - 6.0) < 1e-9
 
 
+def test_forward_takes_no_trunc(a05_json, tmp_path):
+    # forward reads no Hankel order, so a small grid passes and --trunc is
+    # not an option of the command
+    out = tmp_path / "a05"
+    assert main(["forward", "--input", a05_json, "--out", str(out), "--grid", "512"]) == 0
+    _, config = read_circle_csv(out.with_suffix(".s.csv"))
+    assert "trunc" not in config
+    assert "trunc" not in json.loads(out.with_suffix(".meta.json").read_text())["config"]
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--input", a05_json, "--out", str(out), "--trunc", "64"])
+    assert exc.value.code == 2
+
+
+def test_inverse_side_runs_no_schur_loop_and_no_outer_pass(tmp_path, monkeypatch):
+    # phi and psi come from the Szego pair of the recovered coefficients, so
+    # roundtrip and classify of an s CSV never reach the pointwise Schur
+    # loop or the clamped log of the outer pass
+    from cmvscatter import circle, classify, hankel, inverse, opuc, scatter
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached from the inverse side")
+
+    for module in (circle, classify, hankel, inverse, opuc, scatter):
+        for name in ("schur_function", "outer_boundary_samples"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    src = write_seq(tmp_path / "c.json",
+                    VerblunskySeq(a_minus1=np.exp(0.7j), a=(0.4 - 0.2j, 0.3j, -0.25)))
+    out = str(tmp_path / "c")
+    assert main(["roundtrip", "--input", src, "--out", out, "--grid", "2048"]) == 0
+    assert main(["forward", "--input", src, "--out", out, "--grid", "2048"]) == 0
+    assert main(["classify", "--input", out + ".s.csv", "--out", out, "--grid", "2048"]) == 0
+
+
 def test_config_validation(a05_json, tmp_path):
     code = main(["forward", "--input", a05_json, "--out", str(tmp_path / "x"),
                  "--grid", "1000"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cmvscatter import (
     CircleFunction,
+    NumericalError,
     RegularityError,
     VerblunskySeq,
     forward_scatter,
@@ -13,6 +14,9 @@ from cmvscatter import (
     l_matrix,
     recover_verblunsky,
 )
+from cmvscatter.circle import disk_from_boundary
+from cmvscatter.inverse import _phi_psi
+from cmvscatter.opuc import schur_function, szego_boundary, szego_polynomial
 
 from conftest import random_complex_seq, resolved_by
 
@@ -43,6 +47,42 @@ def test_roundtrip_property(grid4096, mods, phases, theta):
     full[: seq.support] = seq.a
     assert np.max(np.abs(rep.a - full)) <= 1e-6
     assert abs(rep.a_minus1 - seq.a_minus1) <= 1e-6
+
+
+def _eval_bound(a, grid):
+    """szego_boundary's bound eps * sum|phi_k| / min|Phi(t_j)| on the
+    relative error of the values of Phi."""
+    _, vals = szego_boundary(a, grid)
+    return np.finfo(float).eps * np.sum(np.abs(szego_polynomial(a))) / np.min(np.abs(vals))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    mods=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=17),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=17, max_size=17),
+)
+def test_phi_psi_from_the_szego_pair(grid4096, mods, phases):
+    # Geronimus: with P, Q the Szego polynomials of b and -b, (Q - P)/(Q + P)
+    # is t times the Schur function of b and 2 sqrt(c)/(Q + P) its outer
+    # companion
+    b = np.array([m * np.exp(1j * p) for m, p in zip(mods, phases)])
+    try:
+        bound = _eval_bound(b, grid4096) + _eval_bound(-b, grid4096)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            _phi_psi(b, grid4096)
+        return
+    t = grid4096.nodes
+    phi_t, psi_t = _phi_psi(b, grid4096)
+    # Re(Q conj P) = c > 0 gives |Q + P|^2 >= 2|P||Q|, so relative errors
+    # beta_P, beta_Q in P and Q move phi by at most beta_P + beta_Q and
+    # |phi|^2 + |psi|^2 by twice that, to first order
+    assert np.max(np.abs(phi_t - t * schur_function(b, t))) <= 1e-13 + bound
+    assert np.max(np.abs(np.abs(phi_t) ** 2 + np.abs(psi_t) ** 2 - 1.0)) <= 1e-13 + 2 * bound
+    if resolved_by(grid4096, b):
+        psi, tail = disk_from_boundary(psi_t, grid4096)
+        assert tail <= 1e-12
+        assert abs(psi.at_zero() - np.sqrt(np.prod(1.0 - np.abs(b) ** 2))) <= 1e-13
 
 
 def test_recover_single(grid4096):
