@@ -441,8 +441,7 @@ def write_circle_csv(path, f, config=None):
     n = grid.size
     head = "index,theta,re,im\n"
     if config:
-        items = ",".join(f"{k}={config[k]}" for k in sorted(config))
-        head = f"# config: {items}\n" + head
+        head = config_comment(config) + "\n" + head
     iw = len(str(n - 1)) // 8 + 1  # words of the "index," field
     # a row of NUL but for the terminators of the theta, re and im slots
     ends = np.frombuffer(bytes(8 * iw) + b"".join(bytes(45) + end + bytes(2)
@@ -464,6 +463,12 @@ def write_circle_csv(path, f, config=None):
                 rows[:, iw + 12:] = _format_g17(g.samples.imag[start:stop])
                 rows |= ends
                 fh.buffer.write(buf.translate(None, b"\0"))
+
+
+def config_comment(config):
+    """The '# config:' line that read_circle_csv parses back: key=value
+    pairs in sorted key order."""
+    return "# config: " + ",".join(f"{k}={config[k]}" for k in sorted(config))
 
 
 def read_circle_csv(path):

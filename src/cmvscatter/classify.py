@@ -149,27 +149,6 @@ class ClassReport:
     a2_stable: bool
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self, config=None):
-        obj = {
-            "szego_sum": self.szego_sum,
-            "gi_sum": self.gi_sum,
-            "besov": self.besov,
-            "index": self.index,
-            "a2_constant": self.a2_constant,
-            "hankel_norm": self.hankel_norm,
-            "regular": self.regular,
-            "hs_member": self.hs_member,
-            "gi_member": self.gi_member,
-            "szego_divergent": self.szego_divergent,
-            "gi_divergent": self.gi_divergent,
-            "besov_divergent": self.besov_divergent,
-            "a2_stable": self.a2_stable,
-            "diagnostics": self.diagnostics,
-        }
-        if config:
-            obj["config"] = dict(config)
-        return obj
-
 
 def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
     """Populate the membership report from a sequence or from s alone.
@@ -256,7 +235,7 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
         "gi_growth": float(gi_growth),
         "szego_growth": float(szego_growth),
         "glm_column_norm": glm_column_norm,
-        "a_minus1": [complex(a_minus1).real, complex(a_minus1).imag],
+        "a_minus1": complex(a_minus1),
     }
     return ClassReport(
         szego_sum=szego_sum, gi_sum=gi_sum, besov=besov, index=index,

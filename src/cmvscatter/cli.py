@@ -9,13 +9,15 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .circle import CircleFunction, CircleGrid, read_circle_csv, write_circle_csv
+from .circle import (CircleFunction, CircleGrid, config_comment, read_circle_csv,
+                     write_circle_csv)
 from .classify import classify, jacobi_verblunsky, widom_det
 from .errors import NumericalError, RegularityError
 from .hankel import regularity_test
@@ -45,26 +47,44 @@ def _load_scattering_csv(path):
     return s, config
 
 
-def _config_dict(args, **extra):
-    cfg = {"grid": args.grid}
-    for key in ("trunc", "order", "radius"):
+def _config(args):
+    """The run configuration every output embeds: the command, its input
+    and the grid, plus whichever of trunc, order and radius it takes."""
+    cfg = {"command": args.command, "grid": args.grid}
+    for key in ("input", "trunc", "order", "radius"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
-    cfg.update(extra)
     return cfg
 
 
+def _out_prefix(args):
+    if args.out:
+        return Path(args.out)
+    if getattr(args, "input", None):
+        return Path(Path(args.input).stem)
+    return Path(args.command.replace("-", "_"))  # demo-nonunique takes no --input
+
+
 def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
+    """The JSON form of what json cannot write itself: a complex number is
+    [re, im], an array a list and a numpy scalar its Python value."""
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, np.generic):
         return x.item()
-    if isinstance(x, np.bool_):
-        return bool(x)
     raise TypeError(f"not JSON serializable: {type(x)!r}")
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_jsonable)
+def _write_json(args, suffix, fields):
+    """Write `fields`, a dict or a report dataclass under its field names,
+    and the run's config to the output prefix with `suffix`."""
+    if dataclasses.is_dataclass(fields):
+        fields = dataclasses.asdict(fields)
+    with open(_out_prefix(args).with_suffix(suffix), "w") as fh:
+        json.dump({**fields, "config": _config(args)}, fh, indent=2, sort_keys=True,
+                  default=_jsonable)
         fh.write("\n")
 
 
@@ -79,8 +99,6 @@ def _validate(args):
             raise ValueError(f"--trunc must be a positive order, got {trunc}")
         if trunc > n // 4:
             raise ValueError(f"--trunc {trunc} exceeds grid/4 = {n // 4}")
-        if order is not None and order > trunc // 4:
-            raise ValueError(f"--order {order} exceeds trunc/4 = {trunc // 4}")
     elif isinstance(trunc, list) and (not trunc or min(trunc) < 1):
         raise ValueError(f"--trunc needs one or more positive orders, got {trunc}")
     lowest = 1 if args.command == "glm" else 0  # a GLM block of order 0 is empty
@@ -91,32 +109,22 @@ def _validate(args):
         raise ValueError(f"--radius must lie in (0, 1], got {radius}")
 
 
-def _out_prefix(args, fallback):
-    if args.out:
-        return Path(args.out)
-    if getattr(args, "input", None):
-        return Path(Path(args.input).stem)
-    return Path(fallback)
-
-
 def cmd_forward(args):
     seq = _load_seq(args.input)
     grid = CircleGrid(args.grid)
     data = forward_scatter(seq, grid)
-    cfg = _config_dict(args, command="forward", input=str(args.input))
-    prefix = _out_prefix(args, "forward")
+    prefix = _out_prefix(args)
     s_path = prefix.with_suffix(".s.csv")
     paths, funcs = [s_path], [data.s]
     if args.weight:
         paths.append(prefix.with_suffix(".w.csv"))
         funcs.append(data.w)
-    write_circle_csv(paths, funcs, cfg)  # the files share their index,theta columns
-    _write_json(prefix.with_suffix(".meta.json"), {
-        "a_minus1": [data.a_minus1.real, data.a_minus1.imag],
+    write_circle_csv(paths, funcs, _config(args))  # the files share their index,theta columns
+    _write_json(args, ".meta.json", {
+        "a_minus1": data.a_minus1,
         "D0": data.d0,
         "D_tail": data.tail,
         "clamped_nodes": int(data.clamped.sum()),
-        "config": cfg,
     })
     print(f"forward: wrote {s_path} (D0 = {data.d0:.12g}, "
           f"{int(data.clamped.sum())} clamped nodes)")
@@ -126,9 +134,7 @@ def cmd_forward(args):
 def cmd_inverse(args):
     s, _ = _load_scattering_csv(args.input)
     report = recover_verblunsky(s, n_max=args.order, M=args.trunc)
-    cfg = _config_dict(args, command="inverse", input=str(args.input))
-    prefix = _out_prefix(args, "inverse")
-    _write_json(prefix.with_suffix(".recovery.json"), report.to_json(cfg))
+    _write_json(args, ".recovery.json", report)
     print(f"inverse: residual {report.residual:.3e}, regular={report.regular}, "
           f"a_minus1 = {report.a_minus1:.9g}")
     if args.strict and not report.regular:
@@ -145,14 +151,11 @@ def cmd_roundtrip(args):
     coeff_err = float(np.max(np.abs(np.asarray(seq.a[:n]) - report.a[:n]))) if n else 0.0
     tail_err = float(np.max(np.abs(report.a[n:]))) if len(report.a) > n else 0.0
     am1_err = abs(report.a_minus1 - seq.a_minus1)
-    cfg = _config_dict(args, command="roundtrip", input=str(args.input))
-    prefix = _out_prefix(args, "roundtrip")
-    _write_json(prefix.with_suffix(".roundtrip.json"), {
+    _write_json(args, ".roundtrip.json", {
         "coefficient_error": coeff_err,
         "tail_error": tail_err,
         "a_minus1_error": am1_err,
-        "recovery": report.to_json(),
-        "config": cfg,
+        "recovery": dataclasses.asdict(report),
     })
     print(f"roundtrip: max coefficient error {max(coeff_err, tail_err):.3e}, "
           f"a_minus1 error {am1_err:.3e}")
@@ -166,14 +169,10 @@ def cmd_widom(args):
     grid = CircleGrid(args.grid)
     m_list = args.trunc
     rows = widom_det(seq, m_list, grid)
-    cfg = _config_dict(args, command="widom", input=str(args.input))
-    prefix = _out_prefix(args, "widom")
-    path = prefix.with_suffix(".widom.csv")
-    lines = ["# config: " + ",".join(f"{k}={cfg[k]}" for k in sorted(cfg)),
-             "M,det,product,gap"]
+    lines = [config_comment(_config(args)), "M,det,product,gap"]
     for m, det, product, gap in rows:
         lines.append(f"{m},{det!r},{product!r},{gap!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _out_prefix(args).with_suffix(".widom.csv").write_text("\n".join(lines) + "\n")
     last = rows[-1]
     print(f"widom: at M={last[0]} det={last[1]:.9g} product={last[2]:.9g} "
           f"gap={last[3]:.3e}")
@@ -188,9 +187,7 @@ def cmd_classify(args):
     else:
         s, _ = _load_scattering_csv(args.input)
         report = classify(s=s, M=args.trunc, r=args.radius)
-    cfg = _config_dict(args, command="classify", input=str(args.input))
-    prefix = _out_prefix(args, "classify")
-    _write_json(prefix.with_suffix(".classify.json"), report.to_json(cfg))
+    _write_json(args, ".classify.json", report)
     print(f"classify: index={report.index} regular={report.regular} "
           f"hs={report.hs_member} gi={report.gi_member}")
     return EXIT_OK
@@ -202,13 +199,7 @@ def cmd_glm(args):
     data = forward_scatter(seq, grid)
     glm = glm_matrix(data, args.order, args.trunc)
     residual = glm_factorization_residual(data, args.order, args.trunc, glm=glm)
-    cfg = _config_dict(args, command="glm", input=str(args.input))
-    prefix = _out_prefix(args, "glm")
-    _write_json(prefix.with_suffix(".glm.json"), {
-        "factorization_residual": residual,
-        "diagonal": [[d.real, d.imag] for d in glm.diag],
-        "config": cfg,
-    })
+    _write_json(args, ".glm.json", {"factorization_residual": residual, "diagonal": glm.diag})
     print(f"glm: factorization residual {residual:.3e}")
     return EXIT_OK
 
@@ -216,7 +207,6 @@ def cmd_glm(args):
 def cmd_demo_nonunique(args):
     grid = CircleGrid(args.grid)
     truncs = args.trunc
-    cfg = _config_dict(args, command="demo-nonunique")
     sup_diffs = {}
     away_diffs = {}
     away = np.abs(np.angle(grid.nodes)) > 0.3
@@ -238,8 +228,7 @@ def cmd_demo_nonunique(args):
     rep = regularity_test(s=t2, d0=1.0 / np.sqrt(6.0), M=min(truncs[-1], grid.size // 4))
     print(f"demo-nonunique: common s = t^2 regularity: lhs={rep.lhs:.6g} "
           f"rhs={rep.rhs:.6g} regular={rep.regular}")
-    prefix = _out_prefix(args, "demo_nonunique")
-    _write_json(prefix.with_suffix(".demo.json"), {
+    _write_json(args, ".demo.json", {
         "sup_differences": {str(k): v for k, v in sup_diffs.items()},
         "sup_differences_away_from_singularities": {
             str(k): v for k, v in away_diffs.items()},
@@ -247,7 +236,6 @@ def cmd_demo_nonunique(args):
             "lhs": rep.lhs, "rhs": rep.rhs, "regular": rep.regular,
             "sigma_max": rep.sigma_max,
         },
-        "config": cfg,
     })
     return EXIT_OK
 

@@ -194,25 +194,9 @@ class HankelOp:
         return self._dense_det()
 
     def _dense_det(self):
-        sign, logdet = np.linalg.slogdet(np.eye(self.cols) - self._dense_gram())
+        w = self.mat
+        sign, logdet = np.linalg.slogdet(np.eye(self.cols) - w.conj().T @ w)
         return float(sign.real * np.exp(logdet)) if sign != 0 else 0.0
-
-    def _dense_gram(self):
-        """W*W from its first row in O(cols^2): moving one row and one
-        column along drops the products with c[i], c[j] and adds those with
-        c[i + order], c[j + order], so
-        G[i+1, j+1] = G[i, j] + conj(c[i+order]) c[j+order] - conj(c[i]) c[j]."""
-        order, cols = self.order, self.cols
-        c = np.asarray(self.neg[: order + cols - 1], dtype=np.complex128)
-        cc = np.conj(c)
-        g = np.empty((cols, cols), dtype=np.complex128)
-        g[0] = cc[:order] @ self.mat
-        for i in range(cols - 1):
-            g[i + 1, i + 1:] = (g[i, i:-1] + cc[i + order] * c[i + order:]
-                                - cc[i] * c[i: cols - 1])
-        lower = np.tril_indices(cols, -1)
-        g[lower] = np.conj(g.T[lower])
-        return g
 
     def solve(self, shifts=0, rhs=None, r=1.0):
         """x_n = (I - r^2 W_n* W_n)^{-1} rhs_n by conjugate gradients from 0,
@@ -417,25 +401,15 @@ class RegularityReport:
     r_sweep: list = None
 
 
-def regularity_test(seq=None, s=None, d0=None, M=256, grid=None, tol=1e-4):
+def regularity_test(s, d0, M=256, tol=1e-4):
     """Decide the one-to-one regime: the solve constant must match 1/D(0)^2.
 
-    Accepts either a coefficient sequence (forward-mapped internally) or a
-    sampled scattering function with a candidate D(0).  A near-singular
-    order-M truncation is reported as regular=False rather than raised.
-    The decision and lhs come from order 2M when the grid resolves it and
-    that truncation is not near-singular, otherwise from order M; the gap
-    between the two orders sets `converged`.
+    Takes a sampled scattering function and a candidate D(0).  A
+    near-singular order-M truncation is reported as regular=False rather
+    than raised.  The decision and lhs come from order 2M when the grid
+    resolves it and that truncation is not near-singular, otherwise from
+    order M; the gap between the two orders sets `converged`.
     """
-    grid = grid or default_grid()
-    if seq is not None:
-        from .scatter import forward_scatter
-
-        data = forward_scatter(seq, grid)
-        s, d0 = data.s, data.d0
-    if s is None or d0 is None:
-        raise ValueError("provide either seq or both s and d0")
-
     def lhs_at(order):
         h = hankel_from_symbol(s, order)
         sigma = h.sigma_max()

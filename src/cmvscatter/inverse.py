@@ -53,22 +53,6 @@ class RecoveryReport:
     a_minus1_std: float
     warnings: list = field(default_factory=list)
 
-    def to_json(self, config=None):
-        obj = {
-            "a_minus1": [self.a_minus1.real, self.a_minus1.imag],
-            "a": [[x.real, x.imag] for x in self.a],
-            "rho": [float(x) for x in self.rho],
-            "residual": float(self.residual),
-            "regular": bool(self.regular),
-            "consistency": [float(x) for x in self.consistency],
-            "sigma_max": float(self.sigma_max),
-            "a_minus1_std": float(self.a_minus1_std),
-            "warnings": list(self.warnings),
-        }
-        if config:
-            obj["config"] = dict(config)
-        return obj
-
 
 def _regular_master(s, M, max_shift):
     """The M x (M + max_shift) master W of s.  Every W_n = W[:, n:] is a

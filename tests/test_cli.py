@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from cmvscatter import VerblunskySeq, read_circle_csv
-from cmvscatter.cli import main
+from cmvscatter.cli import _jsonable, main
 
 
 def write_seq(path, seq):
@@ -250,6 +251,8 @@ def test_list_trunc_must_hold_positive_orders(command, trunc, a05_json, tmp_path
                  id="inverse-order-negative"),
     pytest.param(["classify", "--trunc", "32"], "Hankel order 32 too small",
                  id="classify-s-trunc-32"),
+    pytest.param(["inverse", "--trunc", "128", "--order", "100"], "need >= 164",
+                 id="inverse-order-beyond-trunc"),
 ])
 def test_bad_values_rejected_where_they_enter(argv, message, a05_json, tmp_path, capsys):
     # out-of-range values are input errors, caught before any output is
@@ -262,6 +265,22 @@ def test_bad_values_rejected_where_they_enter(argv, message, a05_json, tmp_path,
     assert main(argv + ["--input", src, "--out", str(tmp_path / "x"), "--grid", "1024"]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("x.*"))
+
+
+def test_order_limited_only_by_its_consumers(a05_json, tmp_path):
+    # --order is bounded by what recover_verblunsky and the GLM block read,
+    # not by a fixed fraction of --trunc
+    out = tmp_path / "a05"
+    main(["forward", "--input", a05_json, "--out", str(out), "--grid", "2048"])
+    assert main(["inverse", "--input", str(out.with_suffix(".s.csv")), "--out", str(out),
+                 "--grid", "2048", "--trunc", "256", "--order", "100"]) == 0
+    rec = json.loads(out.with_suffix(".recovery.json").read_text())
+    a = np.array(rec["a"]) @ [1.0, 1.0j]
+    assert len(a) == 101
+    assert np.max(np.abs(a - np.r_[0.5, np.zeros(100)])) < 1e-12
+    assert main(["glm", "--input", a05_json, "--out", str(out), "--grid", "1024",
+                 "--trunc", "16", "--order", "8"]) == 0
+    assert json.loads(out.with_suffix(".glm.json").read_text())["factorization_residual"] < 1e-12
 
 
 def test_inverse_trunc_beyond_coefficient_window(a05_json, tmp_path, capsys):
@@ -373,8 +392,9 @@ def test_classify_and_inverse_deterministic(a05_json, tmp_path):
                 == outs[1].with_suffix(suffix).read_bytes())
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse costs startup time and resident memory on every command
+def test_cli_import_leaves_scipy_sparse_unloaded(a05_json, tmp_path):
+    # numpy is the only runtime dependency: a process that runs one command
+    # of each kind loads no scipy module at all, scipy.sparse included
     import os
     import subprocess
     import sys
@@ -385,8 +405,84 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     src = str(Path(cmvscatter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, cmvscatter.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    out, grid = str(tmp_path / "r"), ["--grid", "1024"]
+    runs = [["forward", "--input", a05_json, "--out", out, "--weight", *grid],
+            ["inverse", "--input", out + ".s.csv", "--out", out, "--trunc", "128",
+             "--order", "4", *grid],
+            ["roundtrip", "--input", a05_json, "--out", out, "--trunc", "128",
+             "--order", "4", *grid],
+            ["classify", "--input", a05_json, "--out", out, "--trunc", "128", *grid],
+            ["classify", "--input", out + ".s.csv", "--out", out, "--trunc", "128", *grid],
+            ["glm", "--input", a05_json, "--out", out, "--trunc", "64", *grid],
+            ["widom", "--input", a05_json, "--out", out, "--trunc", "32,64", *grid],
+            ["demo-nonunique", "--out", out, "--trunc", "50,100", *grid]]
+    probe = ("import json, sys, cmvscatter.cli as cli; "
+             "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+             "print(json.dumps([codes, sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy')]))")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert scipy_modules == []
+
+
+def test_every_json_output_from_one_writer(tmp_path):
+    # reports serialize under their dataclass field names next to the
+    # config, complex values as [re, im] pairs equal to the report in memory
+    from cmvscatter import CircleGrid, classify, glm_matrix, recover_verblunsky
+    from cmvscatter.classify import ClassReport
+    from cmvscatter.inverse import RecoveryReport
+
+    def pairs(values):
+        return [[z.real, z.imag] for z in np.atleast_1d(values)]
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    seq = VerblunskySeq(a_minus1=np.exp(0.7j), a=(0.4 - 0.2j, 0.3j, -0.25))
+    src = write_seq(tmp_path / "c.json", seq)
+    out = str(tmp_path / "c")
+    grid = ["--grid", "2048"]
+    assert main(["forward", "--input", src, "--out", out, *grid]) == 0
+    s, _ = read_circle_csv(out + ".s.csv")
+
+    assert main(["inverse", "--input", out + ".s.csv", "--out", out, "--trunc", "128",
+                 "--order", "6", *grid]) == 0
+    rec = json.loads((tmp_path / "c.recovery.json").read_text())
+    assert set(rec) == fields(RecoveryReport) | {"config"}
+    assert rec["config"]["command"] == "inverse"
+    assert rec["config"]["input"] == out + ".s.csv"
+    report = recover_verblunsky(s, n_max=6, M=128)
+    assert rec["a"] == pairs(report.a)
+    assert rec["a_minus1"] == pairs(report.a_minus1)[0]
+    assert abs(complex(*rec["a_minus1"]) - seq.a_minus1) < 1e-12
+
+    assert main(["roundtrip", "--input", src, "--out", out, "--trunc", "128",
+                 "--order", "6", *grid]) == 0
+    rt = json.loads((tmp_path / "c.roundtrip.json").read_text())
+    assert set(rt) == {"coefficient_error", "tail_error", "a_minus1_error", "recovery",
+                       "config"}
+    assert set(rt["recovery"]) == fields(RecoveryReport)
+    assert rt["recovery"]["a"] == rec["a"]
+
+    for source in (src, out + ".s.csv"):
+        assert main(["classify", "--input", source, "--out", out, "--trunc", "128",
+                     *grid]) == 0
+        cls = json.loads((tmp_path / "c.classify.json").read_text())
+        assert set(cls) == fields(ClassReport) | {"config"}
+        if source == src:
+            report = classify(seq=seq, grid=CircleGrid(2048), M=128)
+        else:
+            report = classify(s=s, M=128)
+        assert cls["diagnostics"]["a_minus1"] == pairs(report.diagnostics["a_minus1"])[0]
+        assert cls["index"] == report.index and cls["regular"] == report.regular
+
+    assert main(["glm", "--input", src, "--out", out, "--trunc", "64", "--order", "8",
+                 *grid]) == 0
+    glm = json.loads((tmp_path / "c.glm.json").read_text())
+    assert set(glm) == {"factorization_residual", "diagonal", "config"}
+    assert glm["diagonal"] == pairs(glm_matrix(seq, 8, 64, grid=CircleGrid(2048)).diag)
+
+    with pytest.raises(TypeError):
+        _jsonable(object())
