@@ -26,7 +26,6 @@ from .classify import (
 )
 from .errors import (
     ConditioningWarning,
-    NearSingularError,
     NumericalError,
     RegularityError,
 )

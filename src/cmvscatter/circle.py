@@ -110,8 +110,8 @@ def parseval_gap(f):
     return abs(lhs - rhs) / max(rhs, 1e-300)
 
 
-def _require_real(samples, what, tol=1e-10):
-    if np.max(np.abs(samples.imag)) > tol:
+def _require_real(samples, what):
+    if np.max(np.abs(samples.imag)) > 1e-10:
         raise ValueError(f"{what} must be real-valued (max imaginary part "
                          f"{np.max(np.abs(samples.imag)):.3e})")
     return samples.real

@@ -66,10 +66,10 @@ def _windowed_coeff_sum(a, weight_by_index):
     return full, growth
 
 
-def winding_index(s, r=0.95, min_modulus=0.1):
+def winding_index(s, r=0.95):
     """Winding number of the harmonic extension s(r t) around the origin.
 
-    When the extension passes too close to 0 the radius is retried at
+    When the extension's modulus falls to 0.1 the radius is retried at
     {0.9, 0.8} and then closer to 1 (the limit defining the index; for
     smooth data the extension tends to the unimodular s itself there).
     """
@@ -80,7 +80,7 @@ def winding_index(s, r=0.95, min_modulus=0.1):
     k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
     for radius in (r, 0.9, 0.8, 0.99, 0.999):
         ext = np.fft.ifft(c * radius ** k) * n
-        if np.min(np.abs(ext)) > min_modulus:
+        if np.min(np.abs(ext)) > 0.1:
             ang = np.unwrap(np.angle(np.concatenate([ext, ext[:1]])))
             turns = (ang[-1] - ang[0]) / (2.0 * np.pi)
             wind = int(np.rint(turns))
@@ -90,10 +90,10 @@ def winding_index(s, r=0.95, min_modulus=0.1):
     raise ValueError("harmonic extension passes near 0 at every trial radius")
 
 
-def a2_constant(w, min_arc=8):
+def a2_constant(w):
     """Dyadic-arc scan of <w>_I <1/w>_I; a lower bound of the true supremum.
 
-    Arcs run over every translate at lengths N/2, N/4, ..., min_arc nodes.
+    Arcs run over every translate at lengths N/2, N/4, ..., 8 nodes.
     """
     ws = w.samples.real
     if np.any(ws <= 0):
@@ -103,7 +103,7 @@ def a2_constant(w, min_arc=8):
     cv = np.concatenate([[0.0], np.cumsum(np.tile(1.0 / ws, 2))])
     best = 0.0
     length = n // 2
-    while length >= min_arc:
+    while length >= 8:
         i = np.arange(n)
         mean_w = (cw[i + length] - cw[i]) / length
         mean_v = (cv[i + length] - cv[i]) / length
@@ -150,12 +150,13 @@ class ClassReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
+def classify(seq=None, s=None, grid=None, M=256, r=0.95):
     """Populate the membership report from a sequence or from s alone.
 
     Inclusion flags are conjunctions by construction (gi implies hs implies
     regular); the independent realizations of the equivalent conditions are
     reported side by side under `diagnostics`, disagreements included.
+    From s alone the probe recovers coefficients 0..min(16, M - 64).
     """
     from .inverse import glm_matrix, recover_verblunsky
 
@@ -175,7 +176,7 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
         if M < 64:
             raise ValueError(f"Hankel order {M} too small to recover a sequence from s; "
                              "need >= 64")
-        n_max = min(n_max_probe, M - 64)
+        n_max = min(16, M - 64)
         try:
             rec = recover_verblunsky(s, n_max, M, residual_tol=1e-4)
             regular = rec.regular
@@ -221,7 +222,7 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95, n_max_probe=16):
             # regularity was decided above at order M; glm_matrix need not redo it
             glm = glm_matrix(data, GLM_COLUMNS, glm_order, check_regular=False)
             glm_column_norm = float(np.max(np.linalg.norm(glm.mat, axis=0)))
-        except (RegularityError, RuntimeError):
+        except (RegularityError, NumericalError):
             glm_column_norm = None
 
     diagnostics = {

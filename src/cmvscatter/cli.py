@@ -40,11 +40,14 @@ def _load_seq(path):
         raise ValueError(f"cannot read Verblunsky JSON from {path}: {exc}") from exc
 
 
-def _load_scattering_csv(path):
-    s, config = read_circle_csv(path)
+def _load_scattering_csv(args):
+    """The scattering function in the CSV of --input.  Its row count is the
+    grid the run uses, so that becomes the run's grid."""
+    s, _ = read_circle_csv(args.input)
     if np.max(np.abs(np.abs(s.samples) - 1.0)) > 1e-6:
-        raise ValueError(f"{path} is not unimodular; not a scattering function")
-    return s, config
+        raise ValueError(f"{args.input} is not unimodular; not a scattering function")
+    args.grid = s.grid.size
+    return s
 
 
 def _config(args):
@@ -94,11 +97,8 @@ def _validate(args):
         raise ValueError(f"--grid must be a power of two >= 16, got {n}")
     trunc = getattr(args, "trunc", None)
     order = getattr(args, "order", None)
-    if isinstance(trunc, int):
-        if trunc < 1:
-            raise ValueError(f"--trunc must be a positive order, got {trunc}")
-        if trunc > n // 4:
-            raise ValueError(f"--trunc {trunc} exceeds grid/4 = {n // 4}")
+    if isinstance(trunc, int) and trunc < 1:
+        raise ValueError(f"--trunc must be a positive order, got {trunc}")
     elif isinstance(trunc, list) and (not trunc or min(trunc) < 1):
         raise ValueError(f"--trunc needs one or more positive orders, got {trunc}")
     lowest = 1 if args.command == "glm" else 0  # a GLM block of order 0 is empty
@@ -132,8 +132,7 @@ def cmd_forward(args):
 
 
 def cmd_inverse(args):
-    s, _ = _load_scattering_csv(args.input)
-    report = recover_verblunsky(s, n_max=args.order, M=args.trunc)
+    report = recover_verblunsky(_load_scattering_csv(args), n_max=args.order, M=args.trunc)
     _write_json(args, ".recovery.json", report)
     print(f"inverse: residual {report.residual:.3e}, regular={report.regular}, "
           f"a_minus1 = {report.a_minus1:.9g}")
@@ -180,13 +179,11 @@ def cmd_widom(args):
 
 
 def cmd_classify(args):
-    grid = CircleGrid(args.grid)
     if str(args.input).endswith(".json"):
         seq = _load_seq(args.input)
-        report = classify(seq=seq, grid=grid, M=args.trunc, r=args.radius)
+        report = classify(seq=seq, grid=CircleGrid(args.grid), M=args.trunc, r=args.radius)
     else:
-        s, _ = _load_scattering_csv(args.input)
-        report = classify(s=s, M=args.trunc, r=args.radius)
+        report = classify(s=_load_scattering_csv(args), M=args.trunc, r=args.radius)
     _write_json(args, ".classify.json", report)
     print(f"classify: index={report.index} regular={report.regular} "
           f"hs={report.hs_member} gi={report.gi_member}")
@@ -216,9 +213,7 @@ def cmd_demo_nonunique(args):
         seq_b = jacobi_verblunsky(0.0, 2.0, m)
         da = forward_scatter(seq_a, grid)
         db = forward_scatter(seq_b, grid)
-        keep = np.ones(grid.size, dtype=bool)
-        keep[da.excluded_nodes()] = False
-        keep[db.excluded_nodes()] = False
+        keep = ~(da.excluded_nodes() | db.excluded_nodes())
         diff = np.abs(da.s.samples - db.s.samples)
         sup_diffs[m] = float(np.max(diff[keep]))
         away_diffs[m] = float(np.max(diff[keep & away]))

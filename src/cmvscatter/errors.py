@@ -5,17 +5,10 @@ class NumericalError(RuntimeError):
     """A computation lost more accuracy than its contract allows."""
 
 
-class NearSingularError(NumericalError):
-    """A truncated operator block is too close to singular to solve at r=1."""
-
-    def __init__(self, message, sigma_max):
-        super().__init__(message)
-        self.sigma_max = sigma_max
-
-
 class RegularityError(RuntimeError):
     """An operation that requires the one-to-one (regular) regime was asked
-    to run outside it."""
+    to run outside it: HankelOp.solve at r = 1 with 1 - sigma_max at or
+    below hankel.REGULAR_GAP, or data that regularity_test rejects."""
 
 
 class ConditioningWarning(UserWarning):

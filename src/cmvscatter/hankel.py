@@ -11,11 +11,12 @@ n-shifted operator is the column block W_n = W[:, n:] of one wide master W.
 HankelOp is that one operator.  It takes the FFT of its coefficients once,
 and every product with W or W* is an FFT correlation against it, so no
 operator, Gram or factor is formed.  One Lanczos loop on W*W with full
-reorthogonalization serves two readers: the norm, which is cached and
-gates every regularity decision through the gap 1 - ||W||, and the Widom
-determinant det(I - W*W) = prod(1 - theta_i) over the Ritz values.  Every
-solve with I - r^2 W_n* W_n, square (solve_block) or shifted (the inverse
-map), runs its one conjugate-gradient loop, which takes a sequence of
+reorthogonalization serves two readers: the norm, which is cached, and the
+Widom determinant det(I - W*W) = prod(1 - theta_i) over the Ritz values.
+Every solve with I - r^2 W_n* W_n, square (solve_block) or shifted (the
+inverse map), runs its one conjugate-gradient loop.  At r = 1 that loop is
+the one gate of the one-to-one regime: it refuses, with RegularityError,
+when 1 - ||W|| <= REGULAR_GAP, before any step.  The loop takes a sequence of
 shifts as the independent rows of one block, so all the shifts of a
 caller share each step's FFTs.  By Kronecker's theorem a
 symbol of degree p has a Hankel operator of rank at most p, so CG stops
@@ -29,8 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import CircleFunction, DiskFunction, default_grid, disk_from_boundary
-from .errors import NearSingularError, NumericalError
+from .errors import NumericalError, RegularityError
 
+
+#: The r = 1 solve is refused, with RegularityError, when 1 - sigma_max is at
+#: most this: the one gate of the one-to-one regime.
+REGULAR_GAP = 1e-8
+
+#: A regularity_test decision holds when |lhs D(0)^2 - 1| is at most this;
+#: orders M and 2M count as converged within 10 times it.
+REGULARITY_TOL = 1e-4
 
 #: Lanczos steps sigma_max may take before it reports non-convergence.
 LANCZOS_MAX_STEPS = 200
@@ -216,7 +225,14 @@ class HankelOp:
         residual ||A x - rhs||, recomputed with the same operator, above
         1e-10 max(||rhs_n||, 1) / (1 - (r sigma)^2) in any row, where
         sigma = ||W|| bounds every ||W_n||.
+
+        At r = 1 the cached sigma gates the one-to-one regime before any
+        step: 1 - sigma <= REGULAR_GAP raises RegularityError.
         """
+        sigma = self.sigma_max()
+        if r == 1.0 and 1.0 - sigma <= REGULAR_GAP:
+            raise RegularityError(
+                f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")
         single = np.ndim(shifts) == 0
         if single:
             shifts, rhs = [shifts], [rhs]
@@ -261,7 +277,7 @@ class HankelOp:
             p[act] = ra + (rs_next / rs[act])[:, None] * pa
             rs[act] = rs_next
         resid = np.linalg.norm(system(x, slice(None)) - b, axis=1)
-        bound = 1e-10 * scale / max(1.0 - (r * self.sigma_max()) ** 2, 1e-300)
+        bound = 1e-10 * scale / max(1.0 - (r * sigma) ** 2, 1e-300)
         if np.any(resid > bound):
             worst = int(np.argmax(resid / bound))
             raise NumericalError(
@@ -296,29 +312,16 @@ def solve_block(h, rhs="unit_H2", r=1.0):
     """(I - r^2 H*H)^{-1} 1  or  (I - r^2 H H*)^{-1} t-bar by conjugate gradients.
 
     The analytic solve is h.solve, whose condition estimate is
-    1/(1 - (r sigma_max)^2).  The co-analytic solve is the conjugate of the
-    analytic one, since I - r^2 HH* = conj(I - r^2 H*H) for complex
-    symmetric H.  At r=1 the gap 1 - sigma_max must exceed 1e-10, otherwise
-    the solve is refused with the measured sigma_max attached.
+    1/(1 - (r sigma_max)^2) and which refuses r = 1 outside the one-to-one
+    regime.  The co-analytic solve is the conjugate of the analytic one,
+    since I - r^2 HH* = conj(I - r^2 H*H) for complex symmetric H.
     """
     if rhs not in ("unit_H2", "unit_H2minus"):
         raise ValueError(f"unknown rhs selector {rhs!r}")
     if not 0.0 < r <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {r}")
-    sigma = h.sigma_max()
-    if r == 1.0 and 1.0 - sigma <= 1e-10:
-        raise NearSingularError(
-            f"sigma_max = {sigma:.12g}; the r=1 solve needs sigma_max < 1 - 1e-10",
-            sigma_max=sigma)
     x = h.solve(0, r=r)
     return x if rhs == "unit_H2" else np.conj(x)
-
-
-def _taylor_on_grid(vec, grid):
-    """Boundary samples of sum vec[j] t^j on the grid."""
-    spec = np.zeros(grid.size, dtype=np.complex128)
-    spec[: len(vec)] = vec
-    return np.fft.ifft(spec) * grid.size
 
 
 def psi_h(h, grid=None, g=None):
@@ -332,7 +335,7 @@ def psi_h(h, grid=None, g=None):
     grid = grid or default_grid()
     g = solve_block(h, "unit_H2") if g is None else g
     psi0 = 1.0 / np.sqrt(g[0].real)
-    g_t = _taylor_on_grid(g, grid)
+    g_t = DiskFunction(g).boundary(grid).samples
     psi_t = 1.0 / (psi0 * g_t)
     psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
     logmean = float(np.mean(np.log(np.abs(psi_t))))
@@ -350,7 +353,8 @@ def phi_h(h, grid=None, g=None):
     g = solve_block(h, "unit_H2") if g is None else g
     # H* conj(g) = conj(H g): H is complex symmetric
     q = -np.conj(h.apply(0, g))
-    phi_t = grid.nodes * _taylor_on_grid(q, grid) / _taylor_on_grid(g, grid)
+    q_t, g_t = (DiskFunction(v).boundary(grid).samples for v in (q, g))
+    phi_t = grid.nodes * q_t / g_t
     phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
     coef = np.array(phi.coef)
     coef[0] = 0.0
@@ -380,14 +384,15 @@ def aak_data(h, grid=None):
     return AakData(g=g, h=np.conj(g), psi0=psi0, phi=phi_h(h, grid, g), psi=psi)
 
 
-def aak_limit_sweep(h, radii=(0.9, 0.99, 0.999), blowup=1e6):
-    """Solve constants along r -> 1 when the r=1 solve is unavailable.
+def aak_limit_sweep(h):
+    """Solve constants at r = 0.9, 0.99, 0.999 when the r=1 solve is
+    unavailable.
 
     Returns (values, exists): the limit is declared nonexistent when the
-    sweep grows beyond `blowup`.
+    sweep grows beyond 1e6.
     """
-    values = [float(solve_block(h, "unit_H2", r=r)[0].real) for r in radii]
-    return values, values[-1] <= blowup
+    values = [float(solve_block(h, "unit_H2", r=r)[0].real) for r in (0.9, 0.99, 0.999)]
+    return values, values[-1] <= 1e6
 
 
 @dataclass
@@ -401,23 +406,25 @@ class RegularityReport:
     r_sweep: list = None
 
 
-def regularity_test(s, d0, M=256, tol=1e-4):
-    """Decide the one-to-one regime: the solve constant must match 1/D(0)^2.
+def regularity_test(s, d0, M=256):
+    """Decide the one-to-one regime: the solve constant must match 1/D(0)^2
+    within REGULARITY_TOL.
 
-    Takes a sampled scattering function and a candidate D(0).  A
-    near-singular order-M truncation is reported as regular=False rather
-    than raised.  The decision and lhs come from order 2M when the grid
-    resolves it and that truncation is not near-singular, otherwise from
-    order M; the gap between the two orders sets `converged`.
+    Takes a sampled scattering function and a candidate D(0).  An order-M
+    truncation whose r = 1 solve is refused is reported as regular=False
+    rather than raised.  The decision and lhs come from order 2M when the
+    grid resolves it and that solve is not refused, otherwise from order M;
+    the gap between the two orders sets `converged`.
     """
     def lhs_at(order):
         h = hankel_from_symbol(s, order)
-        sigma = h.sigma_max()
-        if 1.0 - sigma <= 1e-8:
-            return None, sigma, h
-        return float(solve_block(h, "unit_H2")[0].real), sigma, h
+        try:
+            return float(solve_block(h, "unit_H2")[0].real), h
+        except RegularityError:
+            return None, h
 
-    lhs, sigma, h = lhs_at(M)
+    lhs, h = lhs_at(M)
+    sigma = h.sigma_max()
     rhs = 1.0 / (d0 * d0)
     if lhs is None:
         sweep, exists = aak_limit_sweep(h)
@@ -427,9 +434,10 @@ def regularity_test(s, d0, M=256, tol=1e-4):
                                 reason=reason, r_sweep=sweep)
     # decide on the larger order solved; the order-M value audits stability
     lhs2 = lhs_at(2 * M)[0] if 2 * M <= s.grid.size // 4 else lhs
-    converged = lhs2 is not None and abs(lhs2 - lhs) <= 10 * tol * max(abs(lhs), 1.0)
+    converged = (lhs2 is not None
+                 and abs(lhs2 - lhs) <= 10 * REGULARITY_TOL * max(abs(lhs), 1.0))
     lhs = lhs if lhs2 is None else lhs2
     gap = abs(lhs * d0 * d0 - 1.0)
-    regular = gap <= tol
+    regular = gap <= REGULARITY_TOL
     reason = "" if regular else f"|lhs * D(0)^2 - 1| = {gap:.3e}"
     return RegularityReport(regular, lhs, rhs, sigma, converged, reason)

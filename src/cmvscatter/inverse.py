@@ -2,11 +2,12 @@
 
 Everything the map reads comes from one hankel.HankelOp, the master W of s
 with M rows and M + max_shift columns, whose column blocks W_n = W[:, n:]
-are the Hankel operators of t^n s.  Its norm gates the one-to-one regime
-once for every shift, and one batched conjugate-gradient call gives every
-u_n = (I - W_n* W_n)^{-1} e0 without forming a matrix.  u_n[0] gives the
-rho ladder, rho_n = sqrt(u_{n+1}[0] / u_n[0]), and the kernel ratio at the
-origin the twisted coefficient b_n = -conj(a_{-1}) a_n.  The unimodular
+are the Hankel operators of t^n s.  One batched conjugate-gradient call
+gives every u_n = (I - W_n* W_n)^{-1} e0 without forming a matrix, and its
+r = 1 gate on the norm of W refuses data outside the one-to-one regime
+once for every shift.  u_n[0] gives the rho ladder,
+rho_n = sqrt(u_{n+1}[0] / u_n[0]), and the kernel ratio at the origin the
+twisted coefficient b_n = -conj(a_{-1}) a_n.  The unimodular
 a_{-1} itself is not visible to the Hankel operator (it only sees negative
 coefficients), so it is read off the full scattering samples by the
 pointwise identity
@@ -54,24 +55,6 @@ class RecoveryReport:
     warnings: list = field(default_factory=list)
 
 
-def _regular_master(s, M, max_shift):
-    """The M x (M + max_shift) master W of s.  Every W_n = W[:, n:] is a
-    block of it, so one norm gates them all: 1 - ||W|| <= 1e-8 raises
-    RegularityError."""
-    master = hankel_from_symbol(s, M, max_shift=max_shift)
-    sigma = master.sigma_max()
-    if 1.0 - sigma <= 1e-8:
-        raise RegularityError(
-            f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")
-    return master
-
-
-def _kept_nodes(data, halo=3):
-    keep = np.ones(data.s.grid.size, dtype=bool)
-    keep[data.excluded_nodes(halo)] = False
-    return keep
-
-
 def _phi_psi(b, grid):
     """phi and psi of the module docstring at the grid nodes, with P and Q
     through szego_boundary's evaluation gate."""
@@ -83,16 +66,16 @@ def _phi_psi(b, grid):
 def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     """Recover a_0..a_{n_max}, the rho ladder, and a_{-1} from samples of s.
 
-    Raises RegularityError when the Hankel truncation is too close to a
-    contraction bound of 1 (outside the one-to-one regime); lesser defects
-    are reported in the warnings list instead.  The n-shifted truncation is
+    Raises RegularityError when the master's solve refuses r = 1 (outside
+    the one-to-one regime); lesser defects are reported in the warnings
+    list instead.  The n-shifted truncation is
     M x (M + n_max + 2 - n), and sigma_max is the norm of the widest one.
     a_minus1_std and residual come from one forward map of the result.
     """
     if M < n_max + 64:
         raise ValueError(f"Hankel order {M} too small for n_max {n_max}; need >= {n_max + 64}")
     grid = s.grid
-    master = _regular_master(s, M, n_max + 2)
+    master = hankel_from_symbol(s, M, max_shift=n_max + 2)
     warnings = []
     u = master.solve(range(n_max + 2))
     u0 = np.array([x[0].real for x in u])
@@ -119,7 +102,7 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     # constancy of -s conj(D)/D, and the samples of s
     a = -lam * b
     data = forward_scatter(VerblunskySeq(a_minus1=lam, a=tuple(a)), grid)
-    keep = _kept_nodes(data)
+    keep = ~data.excluded_nodes()
     d_t = data.D.boundary(grid).samples[keep]
     a_minus1_std = float(np.std(-s.samples[keep] * np.conj(d_t) / d_t))
     if a_minus1_std > 1e-4:
@@ -189,7 +172,7 @@ def glm_matrix(source, m, M, grid=None, check_regular=True):
         rep = regularity_test(s=data.s, d0=data.d0, M=M)
         if not rep.regular:
             raise RegularityError(f"GLM transform needs the regular regime: {rep.reason}")
-    master = _regular_master(data.s, M, m)
+    master = hankel_from_symbol(data.s, M, max_shift=m)
     rhs = [None if n % 2 == 0 else np.conj(master.neg[n: master.cols]) for n in range(m)]
     out = np.zeros((m, m), dtype=np.complex128)
     for n, x in enumerate(master.solve(range(m), rhs)):
@@ -256,7 +239,7 @@ def l_matrix(source, m, M, grid=None):
     L L^* against a dense solve of A).
     """
     s = source if isinstance(source, CircleFunction) else _as_scattering(source, grid).s
-    master = _regular_master(s, M, m)
+    master = hankel_from_symbol(s, M, max_shift=m)
     out = np.zeros((m, m), dtype=np.complex128)
     for n, u in enumerate(master.solve(range(m))):
         out[n:, n] = u[: m - n] / np.sqrt(u[0].real)

@@ -287,14 +287,14 @@ def _top_exponents(m):
     return np.where(k % 2 == 0, k // 2, -(k // 2 + 1))
 
 
-def laurent_basis(seq, m, w=None, grid=None, gram_tol=1e-6):
+def laurent_basis(seq, m, w=None, grid=None):
     """P_0..P_m from the Szego polynomials, with an orthonormality audit.
 
     With phi*_n = szego_polynomial(a_0..a_{n-1}) / (rho_0...rho_{n-1}) and
     phi_n its conjugate reversal, P_{2k} = t^-k phi_{2k} and
     P_{2k+1} = -conj(a_{-1}) t^-(k+1) phi*_{2k+1}, orthonormal under w*dm
     for w = spectral_density(seq).  Raises NumericalError if the Gram
-    residual exceeds gram_tol.
+    residual exceeds 1e-6.
     """
     grid = grid or default_grid()
     if m > grid.size // 4:
@@ -319,7 +319,7 @@ def laurent_basis(seq, m, w=None, grid=None, gram_tol=1e-6):
     weighted = samples * w.samples.real[None, :]
     gram = weighted @ samples.conj().T / grid.size
     gram_residual = float(np.max(np.abs(gram - np.eye(m + 1))))
-    if gram_residual > gram_tol:
+    if gram_residual > 1e-6:
         raise NumericalError(
             f"Laurent basis lost orthonormality: Gram residual {gram_residual:.3e}")
     return LaurentBasis(coef, leading, samples, gram_residual)

@@ -6,7 +6,7 @@ Szego polynomial Phi of `opuc.szego_boundary` and c = prod(1 - |a_k|^2),
 w = c/|Phi|^2, D = sqrt(c)/Phi and s = -a_{-1} D/conj(D) =
 -a_{-1} conj(Phi)/Phi, all read off the same values Phi(t_j).  Nothing is
 clamped; nodes with w below CLAMP_THRESHOLD are still reported so sup-norm
-checks can exclude a fixed window around them.
+checks can exclude the window of CLAMP_HALO nodes on either side of them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .circle import (
 from .errors import NumericalError
 from .opuc import szego_boundary
 
+#: Sup-norm checks skip the nodes within this many of a clamped node.
+CLAMP_HALO = 3
+
 
 @dataclass
 class ScatteringData:
@@ -44,16 +47,13 @@ class ScatteringData:
     clamped: np.ndarray = field(repr=False)
     tail: float = 0.0
 
-    def excluded_nodes(self, halo=3):
-        """Indices within `halo` nodes of a clamped node (circular)."""
-        if not self.clamped.any():
-            return np.zeros(0, dtype=int)
-        n = len(self.clamped)
-        bad = np.zeros(n, dtype=bool)
-        for j in np.flatnonzero(self.clamped):
-            for d in range(-halo, halo + 1):
-                bad[(j + d) % n] = True
-        return np.flatnonzero(bad)
+    def excluded_nodes(self):
+        """Mask of the nodes within CLAMP_HALO of a clamped node, circularly."""
+        bad = np.zeros(len(self.clamped), dtype=bool)
+        if self.clamped.any():
+            near = np.flatnonzero(self.clamped)[:, None] + np.arange(-CLAMP_HALO, CLAMP_HALO + 1)
+            bad[near % len(bad)] = True
+        return bad
 
 
 def forward_scatter(seq, grid=None):
@@ -78,14 +78,11 @@ def forward_scatter(seq, grid=None):
     )
 
 
-def scattering_identity_residual(data, halo=3):
+def scattering_identity_residual(data):
     """Max of |s * conj(D) + a_minus1 * D| on the grid, clamp windows excluded."""
-    grid = data.s.grid
-    d_t = data.D.boundary(grid).samples
+    d_t = data.D.boundary(data.s.grid).samples
     res = np.abs(data.s.samples * np.conj(d_t) + data.a_minus1 * d_t)
-    keep = np.ones(grid.size, dtype=bool)
-    keep[data.excluded_nodes(halo)] = False
-    return float(res[keep].max())
+    return float(res[~data.excluded_nodes()].max())
 
 
 # ---------------------------------------------------------------------------

@@ -220,9 +220,36 @@ def test_config_validation(a05_json, tmp_path):
     code = main(["forward", "--input", a05_json, "--out", str(tmp_path / "x"),
                  "--grid", "1000"])
     assert code == 2
-    code = main(["inverse", "--input", a05_json, "--out", str(tmp_path / "x"),
+    main(["forward", "--input", a05_json, "--out", str(tmp_path / "a05"), "--grid", "1024"])
+    code = main(["inverse", "--input", str(tmp_path / "a05.s.csv"), "--out", str(tmp_path / "x"),
                  "--grid", "1024", "--trunc", "512"])
     assert code == 2
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["inverse", "--trunc", "2048", "--order", "12"], id="inverse-trunc-2048"),
+    pytest.param(["classify", "--trunc", "2048"], id="classify-trunc-2048"),
+    pytest.param(["inverse", "--grid", "1024", "--trunc", "128"], id="inverse-grid-1024"),
+])
+def test_s_csv_runs_on_its_own_grid(argv, a05_json, tmp_path):
+    # the grid of an s CSV is its row count: --trunc is checked against that
+    # grid, not against --grid, and the config records it
+    main(["forward", "--input", a05_json, "--out", str(tmp_path / "a05"), "--grid", "16384"])
+    out = tmp_path / "x"
+    assert main(argv + ["--input", str(tmp_path / "a05.s.csv"), "--out", str(out)]) == 0
+    (report,) = tmp_path.glob("x.*.json")
+    assert json.loads(report.read_text())["config"]["grid"] == 16384
+
+
+def test_trunc_beyond_the_grid_of_a_sequence(a05_json, tmp_path, capsys):
+    # a sequence runs on --grid, and the Hankel order it cannot resolve is
+    # refused where the master is built, before any output is written
+    code = main(["classify", "--input", a05_json, "--out", str(tmp_path / "x"),
+                 "--grid", "1024", "--trunc", "512"])
+    assert code == 2
+    assert "grid of size 1024 resolves 511 negative coefficients" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
 
 
 @pytest.mark.parametrize("trunc", ["", "0,64", "64,-128"])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cmvscatter import (
     CircleFunction,
     HankelOp,
-    NearSingularError,
+    RegularityError,
     VerblunskySeq,
     forward_scatter,
     hankel_from_symbol,
@@ -140,14 +140,60 @@ def test_near_singular_refused():
     neg = np.zeros(64, dtype=complex)
     neg[0] = 1.0  # sigma_max exactly 1
     h = HankelOp(16, neg)
-    with pytest.raises(NearSingularError) as err:
+    with pytest.raises(RegularityError, match="sigma_max = 1:"):
         solve_block(h, "unit_H2")
-    assert abs(err.value.sigma_max - 1.0) < 1e-12
     g = solve_block(h, "unit_H2", r=0.9)
     assert abs(g[0] - 1.0 / (1.0 - 0.81)) < 1e-10
     sweep, exists = aak_limit_sweep(h)
     assert exists  # 1/(1 - r^2) stays below the blowup bound at r = 0.999
     assert abs(sweep[-1] - 1.0 / (1.0 - 0.999 ** 2)) < 1e-6
+
+
+def _near_singular_entry_points(grid):
+    """Every entry point that solves at r = 1, on an operator and on samples
+    whose sigma_max = 1 - 5e-9 lies inside REGULAR_GAP."""
+    from cmvscatter import (DiskFunction, ScatteringData, aak_data, glm_matrix, l_matrix,
+                            recover_verblunsky)
+    from cmvscatter.hankel import REGULAR_GAP
+
+    sigma = 1.0 - 5e-9
+    neg = np.zeros(64, dtype=complex)
+    neg[0] = sigma
+    h = HankelOp(16, neg)
+    s = CircleFunction(grid, sigma / grid.nodes)  # shat(-1) = sigma
+    data = ScatteringData(
+        s=s, D=DiskFunction([1.0]), d0=1.0, a_minus1=-1.0,
+        w=CircleFunction.constant(grid, 1.0), clamped=np.zeros(grid.size, dtype=bool))
+    assert 1.0 - h.sigma_max() <= REGULAR_GAP
+    assert 1.0 - hankel_from_symbol(s, 64, max_shift=4).sigma_max() <= REGULAR_GAP
+    return s, {
+        "solve_block": lambda: solve_block(h, "unit_H2"),
+        "solve_block_h2minus": lambda: solve_block(h, "unit_H2minus"),
+        "psi_h": lambda: psi_h(h, grid),
+        "phi_h": lambda: phi_h(h, grid),
+        "aak_data": lambda: aak_data(h, grid),
+        "HankelOp.solve": lambda: h.solve(range(3)),
+        "recover_verblunsky": lambda: recover_verblunsky(s, n_max=2, M=66),
+        "l_matrix": lambda: l_matrix(s, 4, 64),
+        "glm_matrix": lambda: glm_matrix(data, 4, 64, check_regular=False),
+    }
+
+
+@pytest.mark.parametrize("entry", [
+    "solve_block", "solve_block_h2minus", "psi_h", "phi_h", "aak_data", "HankelOp.solve",
+    "recover_verblunsky", "l_matrix", "glm_matrix"])
+def test_one_gate_refuses_r1_solve_near_unit_singular_value(entry, grid):
+    _, calls = _near_singular_entry_points(grid)
+    with pytest.raises(RegularityError, match="not in the one-to-one regime"):
+        calls[entry]()
+
+
+def test_regularity_inside_the_gap_reports_sweep(grid):
+    s, _ = _near_singular_entry_points(grid)
+    rep = regularity_test(s=s, d0=1.0, M=64)
+    assert not rep.regular
+    assert rep.r_sweep is not None
+    assert "too close to 1" in rep.reason
 
 
 def test_regularity_near_singular_reports_sweep(grid4096):

@@ -89,6 +89,26 @@ def identity_residual(data):
     return float(np.max(np.abs(data.s.samples * np.conj(d_t) + data.a_minus1 * d_t)))
 
 
+def test_excluded_nodes_mask_wraps_around(grid):
+    # nodes 0, 5 and N - 1 clamped: the windows overlap and wrap past node 0
+    import dataclasses
+
+    from cmvscatter.scatter import CLAMP_HALO
+
+    data = forward_scatter(VerblunskySeq(a_minus1=-1.0, a=(0.5,)), grid)
+    assert not data.excluded_nodes().any()
+    n = grid.size
+    clamped_at = np.array([0, 5, n - 1])
+    clamped = np.zeros(n, dtype=bool)
+    clamped[clamped_at] = True
+    mask = dataclasses.replace(data, clamped=clamped).excluded_nodes()
+    dist = np.abs(np.arange(n)[:, None] - clamped_at)
+    direct = np.min(np.minimum(dist, n - dist), axis=1) <= CLAMP_HALO
+    assert mask.dtype == bool
+    assert np.array_equal(mask, direct)
+    assert np.array_equal(np.flatnonzero(mask), np.r_[0:9, n - 4:n])
+
+
 def check_grid_identities(data):
     """mean(w) = 1 and the scattering identity on the truncated D; both need
     a grid that resolves 1/Phi."""
