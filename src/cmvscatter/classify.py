@@ -184,12 +184,13 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
             probe = VerblunskySeq(a_minus1=rec.a_minus1, a=tuple(rec.a))
             w_full = spectral_density(probe, grid)
             a_minus1 = rec.a_minus1
+            sigma = rec.sigma_max  # the norm of the same order-M operator
         except (RegularityError, NumericalError):
             regular = False
             coeffs = np.zeros(0)
             w_full = CircleFunction.constant(grid, 1.0)
             a_minus1 = -1.0
-        sigma = hankel_from_symbol(s, M).sigma_max()
+            sigma = hankel_from_symbol(s, M).sigma_max()
     # the half grid's nodes are the even nodes of the full grid
     w_half = CircleFunction(CircleGrid(grid.size // 2), w_full.samples[::2])
 

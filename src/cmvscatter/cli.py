@@ -92,9 +92,8 @@ def _write_json(args, suffix, fields):
 
 
 def _validate(args):
-    n = args.grid
-    if n < 16 or n & (n - 1):
-        raise ValueError(f"--grid must be a power of two >= 16, got {n}")
+    # --grid is checked where a sequence is read, by CircleGrid: an s CSV
+    # brings its own grid
     trunc = getattr(args, "trunc", None)
     order = getattr(args, "order", None)
     if isinstance(trunc, int) and trunc < 1:

@@ -13,14 +13,17 @@ and every product with W or W* is an FFT correlation against it, so no
 operator, Gram or factor is formed.  One Lanczos loop on W*W with full
 reorthogonalization serves two readers: the norm, which is cached, and the
 Widom determinant det(I - W*W) = prod(1 - theta_i) over the Ritz values.
-Every solve with I - r^2 W_n* W_n, square (solve_block) or shifted (the
-inverse map), runs its one conjugate-gradient loop.  At r = 1 that loop is
-the one gate of the one-to-one regime: it refuses, with RegularityError,
-when 1 - ||W|| <= REGULAR_GAP, before any step.  The loop takes a sequence of
-shifts as the independent rows of one block, so all the shifts of a
-caller share each step's FFTs.  By Kronecker's theorem a
+Every solve with I - r^2 W_n* W_n, square (solve_block and the inverse
+map) or shifted (GLM and L), runs its one conjugate-gradient loop.  At
+r = 1 that loop is the one gate of the one-to-one regime: it refuses, with
+RegularityError, when 1 - ||W|| <= REGULAR_GAP, before any step.  The loop
+takes a sequence of shifts as the independent rows of one block, so all
+the shifts of a caller share each step's FFTs.  By Kronecker's theorem a
 symbol of degree p has a Hankel operator of rank at most p, so CG stops
 after about p - n steps and the determinant's Lanczos after about p.
+aak_boundary turns the r = 1 solve vector into the grid samples of the
+Schur function and its outer companion that phi_H, psi_H and the inverse
+map read.
 """
 
 from __future__ import annotations
@@ -324,6 +327,18 @@ def solve_block(h, rhs="unit_H2", r=1.0):
     return x if rhs == "unit_H2" else np.conj(x)
 
 
+def aak_boundary(h, g, grid):
+    """(f, psi_H) at the grid nodes from the analytic-half solve vector g.
+
+    With q = -H* conj(g) = -conj(H g) (H is complex symmetric, and conj(g)
+    is the co-analytic solve vector), f = q/g is the Schur function with
+    phi_H = t f, and psi_H = sqrt(g[0])/g its outer companion.
+    """
+    q = -np.conj(h.apply(0, g))
+    q_t, g_t = (DiskFunction(v).boundary(grid).samples for v in (q, g))
+    return q_t / g_t, np.sqrt(g[0].real) / g_t
+
+
 def psi_h(h, grid=None, g=None):
     """(psi_H(0), psi_H) from the analytic-half solve vector g.
 
@@ -334,27 +349,22 @@ def psi_h(h, grid=None, g=None):
     """
     grid = grid or default_grid()
     g = solve_block(h, "unit_H2") if g is None else g
-    psi0 = 1.0 / np.sqrt(g[0].real)
-    g_t = DiskFunction(g).boundary(grid).samples
-    psi_t = 1.0 / (psi0 * g_t)
+    _, psi_t = aak_boundary(h, g, grid)
     psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
     logmean = float(np.mean(np.log(np.abs(psi_t))))
     defect = abs(abs(psi.at_zero()) - np.exp(logmean))
     if defect > 1e-6:
         raise NumericalError(f"psi_H failed the outer-ness audit: defect {defect:.3e}")
-    return float(psi0), psi
+    return float(1.0 / np.sqrt(g[0].real)), psi
 
 
 def phi_h(h, grid=None, g=None):
-    """phi_H(z) = z (-H* h)(z)/g(z): the Schur function of the symbol's
-    negative coefficients, with phi_H(0) = 0.  The co-analytic solve is
-    h = conj(g) because H is complex symmetric."""
+    """phi_H = t f, f = q/g of aak_boundary: the Schur function of the
+    symbol's negative coefficients, with phi_H(0) = 0."""
     grid = grid or default_grid()
     g = solve_block(h, "unit_H2") if g is None else g
-    # H* conj(g) = conj(H g): H is complex symmetric
-    q = -np.conj(h.apply(0, g))
-    q_t, g_t = (DiskFunction(v).boundary(grid).samples for v in (q, g))
-    phi_t = grid.nodes * q_t / g_t
+    f_t, _ = aak_boundary(h, g, grid)
+    phi_t = grid.nodes * f_t
     phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
     coef = np.array(phi.coef)
     coef[0] = 0.0

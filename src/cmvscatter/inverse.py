@@ -1,32 +1,32 @@
 """Inverse scattering: coefficients back from the scattering function.
 
-Everything the map reads comes from one hankel.HankelOp, the master W of s
-with M rows and M + max_shift columns, whose column blocks W_n = W[:, n:]
-are the Hankel operators of t^n s.  One batched conjugate-gradient call
-gives every u_n = (I - W_n* W_n)^{-1} e0 without forming a matrix, and its
-r = 1 gate on the norm of W refuses data outside the one-to-one regime
-once for every shift.  u_n[0] gives the rho ladder,
-rho_n = sqrt(u_{n+1}[0] / u_n[0]), and the kernel ratio at the origin the
-twisted coefficient b_n = -conj(a_{-1}) a_n.  The unimodular
-a_{-1} itself is not visible to the Hankel operator (it only sees negative
-coefficients), so it is read off the full scattering samples by the
-pointwise identity
+The map reads the samples of s through one r = 1 solve on the square
+order-M Hankel operator H of s (AAK): g = (I - H*H)^{-1} 1, whose r = 1
+gate on the norm of H refuses data outside the one-to-one regime.  With
+q = -conj(H g), f = q/g is a Schur function and phi = t f, psi = sqrt(g[0])/g
+is its outer companion (hankel.aak_boundary).  By Geronimus' theorem the
+Schur parameters of f are the twisted coefficients
+b_n = -conj(a_{-1}) a_n, so Schur's algorithm, run pointwise on the grid
+samples, reads them off one after another:
+
+    b_k = mean(f_k),    f_{k+1} = (f_k - b_k) / (t (1 - conj(b_k) f_k)),
+
+and rho_n = sqrt(1 - |b_n|^2).  The unimodular a_{-1} is not visible to the
+Hankel operator (it only sees negative coefficients), so it is read off the
+full scattering samples by the pointwise identity
 
     a_{-1} = -(s conj(psi) + psi conj(phi)) / (s phi conj(psi) + psi),
 
-where phi = t f, f the Schur function with parameters b, and its outer
-companion psi are ratios of the Szego polynomials P of b and Q of -b
-(Geronimus): phi = (Q - P)/(Q + P), psi = 2 sqrt(c)/(Q + P), with
-c = prod(1 - |b_k|^2).  So the inverse map takes no log and clamps
-nothing; a least-squares mean over the grid realizes the identity.  One
-forward map of the recovered sequence then audits the result: the spread
-of -s conj(D)/D, which is the constant a_{-1} in the regular regime, and
-the distance to the input samples.
+realized as a least-squares mean over the grid.  So the inverse map takes no
+log and clamps nothing.  One forward map of the recovered sequence then
+audits the result: the spread of -s conj(D)/D, which is the constant a_{-1}
+in the regular regime, and the distance to the input samples.
 
-The GLM transform and L take their columns from the same batched call.
-The GLM factorization residual checks them against a dense reference that
-shares nothing with CG: the inverse of [[I, H*], [H, I]], read from its
-order-M Schur complement I - H*H.
+The GLM transform and L take their columns from one batched call of
+shifted solves on a wide master W, whose column blocks W_n = W[:, n:] are
+the Hankel operators of t^n s.  The GLM factorization residual checks them
+against a dense reference that shares nothing with CG: the inverse of
+[[I, H*], [H, I]], read from its order-M Schur complement I - H*H.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import numpy as np
 
 from .circle import CircleFunction
 from .errors import NumericalError, RegularityError
-from .hankel import hankel_from_symbol, regularity_test
-from .opuc import VerblunskySeq, szego_boundary
+from .hankel import aak_boundary, hankel_from_symbol, regularity_test
+from .opuc import VerblunskySeq
 from .scatter import ScatteringData, forward_scatter
 
 
@@ -48,48 +48,39 @@ class RecoveryReport:
     rho: np.ndarray
     a_minus1: complex
     residual: float                 # sup |s_forward - s_input| off clamp windows
-    consistency: np.ndarray         # | |a_n|^2 + rho_n^2 - 1 |
     sigma_max: float
     regular: bool
     a_minus1_std: float
     warnings: list = field(default_factory=list)
 
 
-def _phi_psi(b, grid):
-    """phi and psi of the module docstring at the grid nodes, with P and Q
-    through szego_boundary's evaluation gate."""
-    c, p = szego_boundary(b, grid)
-    _, q = szego_boundary(-b, grid)
-    return (q - p) / (q + p), 2.0 * np.sqrt(c) / (q + p)
-
-
 def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
-    """Recover a_0..a_{n_max}, the rho ladder, and a_{-1} from samples of s.
+    """Recover a_0..a_{n_max}, rho_n = sqrt(1 - |a_n|^2) and a_{-1} from
+    samples of s, by Schur's algorithm on the f of one order-M solve.
 
-    Raises RegularityError when the master's solve refuses r = 1 (outside
-    the one-to-one regime); lesser defects are reported in the warnings
-    list instead.  The n-shifted truncation is
-    M x (M + n_max + 2 - n), and sigma_max is the norm of the widest one.
+    Raises RegularityError when that solve refuses r = 1 (outside the
+    one-to-one regime), and NumericalError when a Schur parameter reaches
+    modulus 1 - 1e-12; lesser defects are reported in the warnings list
+    instead.  sigma_max is the norm of the order-M Hankel operator.
     a_minus1_std and residual come from one forward map of the result.
     """
     if M < n_max + 64:
         raise ValueError(f"Hankel order {M} too small for n_max {n_max}; need >= {n_max + 64}")
     grid = s.grid
-    master = hankel_from_symbol(s, M, max_shift=n_max + 2)
+    t = grid.nodes
+    master = hankel_from_symbol(s, M)
     warnings = []
-    u = master.solve(range(n_max + 2))
-    u0 = np.array([x[0].real for x in u])
-    rho = np.sqrt(u0[1:] / u0[:-1])
-    # b_n = -(H_n* (I - H_n H_n*)^{-1} e0)[0] / u_n[0], read off u_n because
-    # H*(I - HH*)^{-1} = (I - H*H)^{-1} H* for any truncation shape
-    row = master.neg[: master.cols]  # row 0 of W
-    b = np.array([-np.conj(x @ row[n:]) / u0[n] for n, x in enumerate(u[:-1])])
+    f, psi_t = aak_boundary(master, master.solve(0), grid)
+    phi_t = t * f
+    b = np.empty(n_max + 1, dtype=np.complex128)
+    for k in range(n_max + 1):
+        b[k] = np.mean(f)
+        if not abs(b[k]) < 1.0 - 1e-12:  # a NaN is refused too
+            raise NumericalError(
+                f"recovered coefficient modulus reached {abs(b[k]):.9g}; solver failed")
+        f = (f - b[k]) / (t * (1.0 - np.conj(b[k]) * f))
+    rho = np.sqrt(1.0 - np.abs(b) ** 2)
 
-    if np.any(np.abs(b) >= 1.0 - 1e-12):
-        raise NumericalError(
-            f"recovered coefficient modulus reached {np.abs(b).max():.9g}; solver failed")
-
-    phi_t, psi_t = _phi_psi(b, grid)
     num = -(s.samples * np.conj(psi_t) + psi_t * np.conj(phi_t))
     den = s.samples * phi_t * np.conj(psi_t) + psi_t
     lam = np.sum(num * np.conj(den)) / max(np.sum(np.abs(den) ** 2), 1e-300)
@@ -110,14 +101,10 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
             f"a_minus1 quotient not constant on the grid (std {a_minus1_std:.3e}); "
             "data behaves non-regular")
     residual = float(np.max(np.abs(data.s.samples[keep] - s.samples[keep])))
-    consistency = np.abs(np.abs(a) ** 2 + rho ** 2 - 1.0)
-    if np.max(consistency) > 1e-4:
-        warnings.append(
-            f"coefficient/rho consistency gap {np.max(consistency):.3e} exceeds 1e-4")
     regular = residual <= residual_tol
     return RecoveryReport(
         a=a, rho=rho, a_minus1=complex(lam), residual=residual,
-        consistency=consistency, sigma_max=master.sigma_max(), regular=regular,
+        sigma_max=master.sigma_max(), regular=regular,
         a_minus1_std=a_minus1_std, warnings=warnings,
     )
 

@@ -215,3 +215,25 @@ def test_classify_monomial_scattering(grid4096):
     assert rep.index == 2
     assert not rep.regular
     assert not rep.gi_member
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["recovered", "refused"])
+def test_classify_s_reads_the_norm_of_its_recovery(grid4096, monkeypatch, refused):
+    # from s alone the Hankel norm is the recovery master's, the same bits as
+    # a fresh order-M operator, from one Lanczos run; only a refused recovery
+    # (s = 1/t has sigma_max = 1) builds the operator again
+    from cmvscatter import hankel
+
+    if refused:
+        s = CircleFunction(grid4096, 1.0 / grid4096.nodes)
+    else:
+        s = forward_scatter(random_complex_seq(np.random.default_rng(35), 4), grid4096).s
+    runs = []
+    lanczos = hankel.HankelOp._lanczos
+    monkeypatch.setattr(hankel.HankelOp, "_lanczos",
+                        lambda self, *a, **k: runs.append(self) or lanczos(self, *a, **k))
+    rep = classify(s=s, M=128)
+    assert len(runs) == (2 if refused else 1)
+    assert rep.regular != refused
+    monkeypatch.undo()
+    assert rep.hankel_norm == hankel_from_symbol(s, 128).sigma_max()

@@ -231,15 +231,31 @@ def test_config_validation(a05_json, tmp_path):
     pytest.param(["inverse", "--trunc", "2048", "--order", "12"], id="inverse-trunc-2048"),
     pytest.param(["classify", "--trunc", "2048"], id="classify-trunc-2048"),
     pytest.param(["inverse", "--grid", "1024", "--trunc", "128"], id="inverse-grid-1024"),
+    pytest.param(["inverse", "--grid", "1000", "--trunc", "128"], id="inverse-grid-1000"),
+    pytest.param(["classify", "--grid", "1000", "--trunc", "128"], id="classify-grid-1000"),
 ])
 def test_s_csv_runs_on_its_own_grid(argv, a05_json, tmp_path):
     # the grid of an s CSV is its row count: --trunc is checked against that
-    # grid, not against --grid, and the config records it
+    # grid, --grid is never read (1000 is no power of two), and the config
+    # records the file's grid
     main(["forward", "--input", a05_json, "--out", str(tmp_path / "a05"), "--grid", "16384"])
     out = tmp_path / "x"
     assert main(argv + ["--input", str(tmp_path / "a05.s.csv"), "--out", str(out)]) == 0
     (report,) = tmp_path.glob("x.*.json")
     assert json.loads(report.read_text())["config"]["grid"] == 16384
+
+
+@pytest.mark.parametrize("command", ["forward", "roundtrip", "widom", "classify", "glm",
+                                     "demo-nonunique"])
+def test_grid_checked_where_a_sequence_is_read(command, a05_json, tmp_path, capsys):
+    # a sequence runs on --grid, so a grid that is not a power of two is an
+    # input error there, caught before any output is written
+    argv = [command, "--out", str(tmp_path / "x"), "--grid", "1000"]
+    if command != "demo-nonunique":
+        argv += ["--input", a05_json]
+    assert main(argv) == 2
+    assert "grid size must be a power of two >= 16, got 1000" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_trunc_beyond_the_grid_of_a_sequence(a05_json, tmp_path, capsys):
@@ -311,18 +327,22 @@ def test_order_limited_only_by_its_consumers(a05_json, tmp_path):
 
 
 def test_inverse_trunc_beyond_coefficient_window(a05_json, tmp_path, capsys):
-    # --trunc 1024 passes the grid/4 check at N = 4096, but the shifted
-    # master needs 2M - 1 + n_max + 2 negative coefficients and the grid
-    # resolves only N/2 - 1 of them
+    # the order-M master needs 2M - 1 negative coefficients and a grid of
+    # size N resolves N/2 - 1 of them, so inverse serves --trunc up to N/4
     out = tmp_path / "a05"
     main(["forward", "--input", a05_json, "--out", str(out), "--grid", "4096"])
     capsys.readouterr()
     code = main(["inverse", "--input", str(out.with_suffix(".s.csv")),
-                 "--out", str(tmp_path / "rec"), "--grid", "4096", "--trunc", "1024"])
+                 "--out", str(tmp_path / "rec"), "--grid", "4096", "--trunc", "1025"])
     assert code == 2
     err = capsys.readouterr().err
     assert "resolves 2047 negative coefficients" in err
-    assert "order 1024 with shift 14 needs 2061" in err
+    assert "order 1025 with shift 0 needs 2049" in err
+    assert not list(tmp_path.glob("rec.*"))
+    assert main(["inverse", "--input", str(out.with_suffix(".s.csv")),
+                 "--out", str(tmp_path / "rec"), "--grid", "4096", "--trunc", "1024"]) == 0
+    rec = json.loads((tmp_path / "rec.recovery.json").read_text())
+    assert rec["residual"] < 1e-12
 
 
 def test_non_finite_sequence_rejected(tmp_path, capsys):
