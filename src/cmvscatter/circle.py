@@ -249,8 +249,11 @@ def outer_from_modulus_squared(w, grid=None):
 # CSV interchange: rows "index,theta,re,im", exact float round trip
 # ---------------------------------------------------------------------------
 
-#: Rows formatted per block; bounds the memory each block takes.
-CSV_BLOCK_ROWS = 2048
+#: Rows per block.  One _format_g17 call formats every column of a block,
+#: 4 x CSV_BLOCK_ROWS values for `forward --weight`, and the temporaries of
+#: that call set the writer's peak memory (1.6 MiB traced for s and w at
+#: N = 16384, against 2.8 MiB with blocks of 2048 rows).
+CSV_BLOCK_ROWS = 1024
 
 # Values are formatted as '%.17g' in numpy.  Each value fills a 48-byte
 # slot, NUL where nothing is printed, which translate(None, b"\0") drops:
@@ -406,12 +409,12 @@ def _percent_slots(x):
     return _words(np.array(text.split(b",")[:-1], dtype="S48").view(np.uint8).reshape(-1, 48))
 
 
-def _index_field(start, stop, words):
-    """The uint64 words of "j," for each row j, right-aligned in 8 * words bytes."""
-    j = np.arange(start, stop)
-    b = np.zeros((stop - start, 8 * words), np.uint8)
+def _index_field(n, words):
+    """The uint64 words of "j," for each row j < n, right-aligned in 8 * words bytes."""
+    j = np.arange(n)
+    b = np.zeros((n, 8 * words), np.uint8)
     b[:, -1] = ord(",")
-    for place in range(len(str(stop - 1))):
+    for place in range(len(str(n - 1))):
         p = 10 ** place
         b[:, -2 - place] = np.where((j >= p) | (place == 0), j // p % 10 + 48, 0)
     return _words(b)
@@ -426,12 +429,15 @@ def write_circle_csv(path, f, config=None):
     their index,theta columns.
 
     The bytes are those of '%.17g' % x.  Each block of rows is laid out in
-    numpy: the 17 digits come from scaling |x| by a power of ten in long
-    double, and the rounding is used only where the long double error
-    bound certifies it.  Other values (about 0.35% of the forward map's
-    samples, and every non-finite one) take one '%' call per block, and on
-    a platform whose long double is plain double every value does: the
-    output stays exact, only slower.
+    numpy, with one _format_g17 call on the block's theta column and every
+    file's re and im columns together: the 17 digits come from scaling |x|
+    by a power of ten in long double, and the rounding is used only where
+    the long double error bound certifies it.  Other values (about 0.44% of
+    those formatted for the forward benchmark's outputs, and every
+    non-finite one) take one '%' call per block, and on a platform whose long double is plain
+    double every value does: the output stays exact, only slower.  A column
+    of +0.0 only, with no sign bit (the imaginary part of a real function),
+    is not formatted; it prints the constant "0".
     """
     if isinstance(f, CircleFunction):
         path, f = [path], [f]
@@ -446,7 +452,12 @@ def write_circle_csv(path, f, config=None):
     # a row of NUL but for the terminators of the theta, re and im slots
     ends = np.frombuffer(bytes(8 * iw) + b"".join(bytes(45) + end + bytes(2)
                                                   for end in (b",", b",", b"\n")), dtype=np.uint64)
-    thetas = grid.thetas
+    # theta, then re and im of each file; None marks a column of +0.0 only
+    cols = [grid.thetas]
+    for g in f:
+        cols += [c if c.view(np.uint64).any() else None for c in (g.samples.real, g.samples.imag)]
+    zero_slot = np.array([_g17_tables().word0[0], 0, 0, 0, 0, 0], dtype=np.uint64)
+    index = _index_field(n, iw)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", newline="\n")) for p in path]
         for fh in files:
@@ -454,13 +465,16 @@ def write_circle_csv(path, f, config=None):
             fh.flush()  # the rows go straight to the binary buffer below
         for start in range(0, n, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n)
+            formatted = iter(_format_g17(np.concatenate(
+                [c[start:stop] for c in cols if c is not None])).reshape(-1, stop - start, 6))
+            slots = [zero_slot if c is None else next(formatted) for c in cols]
             buf = bytearray(8 * (iw + 18) * (stop - start))
             rows = np.frombuffer(buf, dtype=np.uint64).reshape(stop - start, iw + 18)
-            rows[:, :iw] = _index_field(start, stop, iw)
-            rows[:, iw: iw + 6] = _format_g17(thetas[start:stop])
-            for fh, g in zip(files, f):
-                rows[:, iw + 6: iw + 12] = _format_g17(g.samples.real[start:stop])
-                rows[:, iw + 12:] = _format_g17(g.samples.imag[start:stop])
+            rows[:, :iw] = index[start:stop]
+            rows[:, iw: iw + 6] = slots[0]
+            for fh, re, im in zip(files, slots[1::2], slots[2::2]):
+                rows[:, iw + 6: iw + 12] = re
+                rows[:, iw + 12:] = im
                 rows |= ends
                 fh.buffer.write(buf.translate(None, b"\0"))
 

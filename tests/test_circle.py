@@ -210,29 +210,122 @@ def _reference_csv_text(f, config):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("size,block", [(16, None), (64, 7), (8192, None), (8192, 3000)])
-def test_csv_writer_matches_per_row_format(tmp_path, monkeypatch, size, block):
-    # block None: the shipped CSV_BLOCK_ROWS, which exceeds 16 and divides 8192
-    from cmvscatter import circle
+# Scaled by an inexact 10^p, these land more than half an ulp from the exact
+# product and on the wrong side of a half: only the bound of two ulps sends
+# them to the '%' path.
+_PERCENT_PATH = [float.fromhex(h) for h in (
+    "-0x1.90f129581bc41p+354", "0x1.a1935e0c73043p-401", "-0x1.463223e91cdd1p+691",
+    "-0x1.af9ffdfe4fa2dp+839", "0x1.918e476f475dfp+158", "-0x1.cb872663f7427p+839",
+    "0x1.cec4bff1a5e17p-205", "0x1.4922e3d1d39ebp+711", "0x1.0ef4f8e3cc4cap-258",
+    "-0x1.67b28a8e9e741p-792", "0x1.9d55b34a2b519p-916", "0x1.680864a33e894p-702")]
 
+
+def _complex(re, im):
+    """re + i im with the sign of every zero kept, which re + 1j * im loses."""
+    z = np.empty(len(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def _assert_reads_back(path, f):
+    # bit for bit, but for the sign of a zero: the reader builds re + 1j * im
+    g, _ = read_circle_csv(path)
+    for got, want in ((g.samples.real, f.samples.real), (g.samples.imag, f.samples.imag)):
+        assert np.array_equal(got.view(np.uint64), (want + 0.0).view(np.uint64))
+
+
+@pytest.mark.parametrize("size,block", [(16, None), (64, 7), (8192, None), (8192, 7),
+                                        (8192, 3000)])
+def test_csv_writer_matches_per_row_format(tmp_path, monkeypatch, size, block):
+    # block None: the shipped CSV_BLOCK_ROWS, which exceeds 16 and divides 8192;
+    # a complex and a real function go through one call, so each block formats
+    # both files' columns at once, across block edges that 7 and 3000 leave
+    # unaligned
     if block is not None:
         monkeypatch.setattr(circle, "CSV_BLOCK_ROWS", block)
+    sent = []
+    percent = circle._percent_slots
+    monkeypatch.setattr(circle, "_percent_slots", lambda x: sent.append(len(x)) or percent(x))
     grid = CircleGrid(size)
     rng = np.random.default_rng(size)
-    re = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size)
-    im = rng.normal(size=size)
     specials = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 0.0, 1.0 / 3.0,
-                2.2250738585072014e-308, 123456789.0, 1e16, -1e-5, 0.1]
-    re[: len(specials)] = specials
+                2.2250738585072014e-308, 123456789.0, 1e16, -1e-5, 0.1] + _PERCENT_PATH[:2]
+    im = rng.normal(size=size)
     im[-len(specials):] = specials[::-1]
-    f = CircleFunction(grid, re + 1j * im)
+    f = CircleFunction(grid, _complex(rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size),
+                                      im))
+    re = rng.normal(size=size)
+    re[: len(specials)] = specials
+    re[-len(specials):] = specials[::-1]
+    g = CircleFunction(grid, _complex(re, np.zeros(size)))
+    paths = [tmp_path / "f.csv", tmp_path / "g.csv"]
     for config in (None, {"grid": size, "command": "test"}):
-        path = tmp_path / "f.csv"
-        write_circle_csv(path, f, config)
-        assert path.read_text() == _reference_csv_text(f, config)
-        g, _ = read_circle_csv(path)
-        assert np.array_equal(g.samples.real.view(np.uint64), f.samples.real.view(np.uint64))
-        assert np.array_equal(g.samples.imag.view(np.uint64), f.samples.imag.view(np.uint64))
+        sent.clear()
+        write_circle_csv(paths, [f, g], config)
+        for path, h in zip(paths, (f, g)):
+            assert path.read_text() == _reference_csv_text(h, config)
+            _assert_reads_back(path, h)
+        assert sum(sent) >= 4  # at least the _PERCENT_PATH values of f and g
+
+
+def test_csv_writer_keeps_signed_zeros(tmp_path, monkeypatch):
+    # only a column of +0.0 with no sign bit takes the constant "0" slot
+    lengths = []
+    fmt = circle._format_g17
+    monkeypatch.setattr(circle, "_format_g17", lambda x: lengths.append(len(x)) or fmt(x))
+    n = 64
+    grid = CircleGrid(n)
+    re = np.random.default_rng(9).normal(size=n)
+    one_neg, one_nonzero = np.zeros(n), np.zeros(n)
+    one_neg[17] = -0.0
+    one_nonzero[40] = 2.5e-7
+    ims = [np.zeros(n), np.full(n, -0.0), one_neg, one_nonzero]
+    funcs = [CircleFunction(grid, _complex(re, im)) for im in ims]
+    paths = [tmp_path / f"f{k}.csv" for k in range(4)]
+    write_circle_csv(paths, funcs)
+    for path, h in zip(paths, funcs):
+        assert path.read_text() == _reference_csv_text(h, None)
+        _assert_reads_back(path, h)
+    assert np.signbit(funcs[1].samples.imag).all() and np.signbit(funcs[2].samples.imag[17])
+    assert paths[1].read_text().count(",-0\n") == n
+    assert paths[2].read_text().count(",-0\n") == 1
+    assert sum(lengths) == n * (1 + 4 + 3)  # theta, four re and three im columns
+
+
+def test_csv_writer_formats_each_block_in_one_call(tmp_path, monkeypatch):
+    # a complex s and a real w: theta, s.re, s.im and w.re, one call per block;
+    # w.im, all +0.0, is never formatted
+    lengths = []
+    fmt = circle._format_g17
+    monkeypatch.setattr(circle, "_format_g17", lambda x: lengths.append(len(x)) or fmt(x))
+    n = 8192
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(10)
+    s = CircleFunction(grid, np.exp(1j * rng.normal(size=n)))
+    w = CircleFunction(grid, rng.random(n))
+    write_circle_csv([tmp_path / "s.csv", tmp_path / "w.csv"], [s, w])
+    assert len(lengths) == -(-n // circle.CSV_BLOCK_ROWS)
+    assert sum(lengths) == 4 * n
+    assert max(lengths) == 4 * circle.CSV_BLOCK_ROWS
+
+
+def test_csv_writer_peak_memory(tmp_path):
+    # the blocks, not the grid size, bound what the writer holds at once
+    import tracemalloc
+
+    n = 16384
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(11)
+    s = CircleFunction(grid, np.exp(1j * rng.normal(size=n)))
+    w = CircleFunction(grid, rng.random(n))
+    circle._g17_tables()  # built once per process, not per write
+    tracemalloc.start()
+    try:
+        write_circle_csv([tmp_path / "s.csv", tmp_path / "w.csv"], [s, w])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def _g17_lines(x):
@@ -247,19 +340,11 @@ def _g17_corpus():
     halves = np.arange(-50, 50) + 0.5
     edges = np.array([1e16, 1e17, 2.0 ** 53, 2.0 ** 56, 9.9999999999999995e-5, 1e-4, 1e-5,
                       99999999999999992.0, 10000000000000002.0])
-    # scaled by an inexact 10^p, these land more than half an ulp from the
-    # exact product and on the wrong side of a half: only the bound of two
-    # ulps sends them to the '%' path
-    scaled = [float.fromhex(h) for h in (
-        "-0x1.90f129581bc41p+354", "0x1.a1935e0c73043p-401", "-0x1.463223e91cdd1p+691",
-        "-0x1.af9ffdfe4fa2dp+839", "0x1.918e476f475dfp+158", "-0x1.cb872663f7427p+839",
-        "0x1.cec4bff1a5e17p-205", "0x1.4922e3d1d39ebp+711", "0x1.0ef4f8e3cc4cap-258",
-        "-0x1.67b28a8e9e741p-792", "0x1.9d55b34a2b519p-916", "0x1.680864a33e894p-702")]
     integers = np.concatenate([np.arange(-1000, 1000), 10 ** np.arange(18) - 1,
                                np.random.default_rng(7).integers(0, 10 ** 17, 500)])
     values = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308,
                               1.7976931348623157e308, np.inf, -np.inf, np.nan],
-                             scaled, tens, edges, halves, integers.astype(np.float64)])
+                             _PERCENT_PATH, tens, edges, halves, integers.astype(np.float64)])
     with np.errstate(over="ignore"):
         values = np.concatenate([values, np.nextafter(values, np.inf),
                                  np.nextafter(values, -np.inf)])
