@@ -10,7 +10,6 @@ from .circle import (
     CircleGrid,
     DiskFunction,
     conjugate_function,
-    default_grid,
     outer_from_modulus_squared,
     read_circle_csv,
     write_circle_csv,
@@ -35,8 +34,6 @@ from .hankel import (
     RegularityReport,
     aak_data,
     hankel_from_symbol,
-    phi_h,
-    psi_h,
     regularity_test,
     solve_block,
 )

@@ -7,9 +7,10 @@ power of two.  The Fourier convention is fixed project-wide as
 
 so coefficient arrays use the numpy.fft frequency layout (index k for
 0 <= k <= N/2, index N+k for negative k).  Analytic objects on the disk
-(or on its exterior) are held as one-sided coefficient lists; outer
-functions are built in the log domain through the conjugate-function
-multiplier, never by quadrature.
+(or on its exterior) are held as one-sided coefficient lists.  Only
+`outer_from_modulus_squared` builds an outer function in the log domain,
+through the conjugate-function multiplier; the forward and inverse maps
+read theirs off polynomials and solve vectors.
 
 Circle functions travel as CSV rows "index,theta,re,im".  The writer
 prints each float byte for byte as '%.17g' would, from digits rounded in
@@ -29,8 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningWarning
-
-DEFAULT_GRID_SIZE = 4096
 
 #: Weights below this level trigger a ConditioningWarning from the outer
 #: construction; their logs are clamped at LOG_FLOOR.
@@ -60,10 +59,6 @@ class CircleGrid:
     @property
     def thetas(self):
         return 2.0 * np.pi * np.arange(self.size) / self.size
-
-
-def default_grid():
-    return CircleGrid(DEFAULT_GRID_SIZE)
 
 
 class CircleFunction:
@@ -201,11 +196,11 @@ def disk_from_boundary(samples, grid, kind="interior"):
     return DiskFunction(keep, kind), tail
 
 
-def outer_boundary_samples(w, grid=None):
+def outer_boundary_samples(w):
     """Boundary values of the outer function of a weight, pointwise exact:
     the modulus equals sqrt of the (clamped) weight sample by sample.  Any
     clamped sample raises a ConditioningWarning."""
-    grid = grid or w.grid
+    grid = w.grid
     ws = _require_real(w.samples, "weight")
     if np.any(ws < 0):
         raise ValueError(f"weight must be nonnegative (min sample {ws.min():.3e})")
@@ -232,16 +227,14 @@ def outer_boundary_samples(w, grid=None):
     return np.exp(log_outer)
 
 
-def outer_from_modulus_squared(w, grid=None):
+def outer_from_modulus_squared(w):
     """Outer function O with |O|^2 = w on the circle and O(0) > 0.
 
     Built in the log domain: O = exp((1/2)(log w + i * conj(log w))).
     Near-zero samples are clamped (with a ConditioningWarning); exact
     accuracy contracts then hold only away from the clamped nodes.
     """
-    grid = grid or w.grid
-    boundary = outer_boundary_samples(w, grid)
-    out, _ = disk_from_boundary(boundary, grid, kind="interior")
+    out, _ = disk_from_boundary(outer_boundary_samples(w), w.grid, kind="interior")
     return out
 
 
@@ -526,5 +519,7 @@ def read_circle_csv(path):
     if not np.all(np.isfinite(vals[:, 2:])):
         raise ValueError("CSV samples must be finite")
     samples = np.empty(n, dtype=np.complex128)
-    samples[idx] = vals[:, 2] + 1j * vals[:, 3]
+    # part by part: re + 1j * im would turn a -0.0 part into +0.0
+    samples.real[idx] = vals[:, 2]
+    samples.imag[idx] = vals[:, 3]
     return CircleFunction(grid, samples), config

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleFunction, CircleGrid, default_grid
+from .circle import CircleFunction, CircleGrid
 from .errors import NumericalError, RegularityError
 from .hankel import hankel_from_symbol, regularity_test
 from .opuc import VerblunskySeq, spectral_density
@@ -112,7 +112,7 @@ def a2_constant(w):
     return best
 
 
-def widom_det(seq, m_list, grid=None):
+def widom_det(seq, m_list, grid):
     """det(I - H*H) against prod rho_n^{2(n+1)} at each truncation order.
 
     Returns rows (M, det, product, relative gap).  The determinant is
@@ -120,7 +120,6 @@ def widom_det(seq, m_list, grid=None):
     its fallback.  When the truncation is not a strict contraction the
     determinant is still reported (it heads to zero); nothing raises.
     """
-    grid = grid or default_grid()
     data = forward_scatter(seq, grid)
     rho = seq.rho()
     product = float(np.prod(rho ** (2.0 * (np.arange(len(rho)) + 1)))) if len(rho) else 1.0
@@ -153,18 +152,21 @@ class ClassReport:
 def classify(seq=None, s=None, grid=None, M=256, r=0.95):
     """Populate the membership report from a sequence or from s alone.
 
-    Inclusion flags are conjunctions by construction (gi implies hs implies
-    regular); the independent realizations of the equivalent conditions are
-    reported side by side under `diagnostics`, disagreements included.
+    A sequence is sampled on `grid`, which it needs; s brings its own grid,
+    and `grid` is not read then.  Inclusion flags are conjunctions by
+    construction (gi implies hs implies regular); the independent
+    realizations of the equivalent conditions are reported side by side
+    under `diagnostics`, disagreements included.
     From s alone the probe recovers coefficients 0..min(16, M - 64).
     """
     from .inverse import glm_matrix, recover_verblunsky
 
     if seq is None and s is None:
         raise ValueError("provide a sequence or a scattering function")
-    grid = grid or (s.grid if s is not None else default_grid())
 
     if seq is not None:
+        if grid is None:
+            raise ValueError("classifying a sequence needs the grid to sample it on")
         data = forward_scatter(seq, grid)
         s = data.s
         rep = regularity_test(s=s, d0=data.d0, M=M)
@@ -173,6 +175,7 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
         w_full = data.w
         a_minus1 = seq.a_minus1
     else:
+        grid = s.grid
         if M < 64:
             raise ValueError(f"Hankel order {M} too small to recover a sequence from s; "
                              "need >= 64")

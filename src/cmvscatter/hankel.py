@@ -22,8 +22,8 @@ the shifts of a caller share each step's FFTs.  By Kronecker's theorem a
 symbol of degree p has a Hankel operator of rank at most p, so CG stops
 after about p - n steps and the determinant's Lanczos after about p.
 aak_boundary turns the r = 1 solve vector into the grid samples of the
-Schur function and its outer companion that phi_H, psi_H and the inverse
-map read.
+Schur function and its outer companion that aak_data and the inverse map
+read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleFunction, DiskFunction, default_grid, disk_from_boundary
+from .circle import CircleFunction, DiskFunction, disk_from_boundary
 from .errors import NumericalError, RegularityError
 
 
@@ -339,59 +339,45 @@ def aak_boundary(h, g, grid):
     return q_t / g_t, np.sqrt(g[0].real) / g_t
 
 
-def psi_h(h, grid=None, g=None):
-    """(psi_H(0), psi_H) from the analytic-half solve vector g.
-
-    psi_H(z) = 1 / (psi_H(0) g(z)) with g the solve vector's Taylor series;
-    |g| >= 1 on the closed disk in the regular regime, so the reciprocal is
-    well conditioned.  Outer-ness is audited via the log-mean identity.
-    A caller that already solved for g passes it in.
-    """
-    grid = grid or default_grid()
-    g = solve_block(h, "unit_H2") if g is None else g
-    _, psi_t = aak_boundary(h, g, grid)
-    psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
-    logmean = float(np.mean(np.log(np.abs(psi_t))))
-    defect = abs(abs(psi.at_zero()) - np.exp(logmean))
-    if defect > 1e-6:
-        raise NumericalError(f"psi_H failed the outer-ness audit: defect {defect:.3e}")
-    return float(1.0 / np.sqrt(g[0].real)), psi
-
-
-def phi_h(h, grid=None, g=None):
-    """phi_H = t f, f = q/g of aak_boundary: the Schur function of the
-    symbol's negative coefficients, with phi_H(0) = 0."""
-    grid = grid or default_grid()
-    g = solve_block(h, "unit_H2") if g is None else g
-    f_t, _ = aak_boundary(h, g, grid)
-    phi_t = grid.nodes * f_t
-    phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
-    coef = np.array(phi.coef)
-    coef[0] = 0.0
-    phi = DiskFunction(coef, "interior")
-    sup = float(np.max(np.abs(phi_t)))
-    if sup > 1.0 + 1e-6:
-        raise NumericalError(f"phi_H left the Schur class: sup modulus {sup:.8f}")
-    return phi
-
-
 @dataclass
 class AakData:
-    """Bundle of the point-evaluation solves: g = (I-H*H)^{-1} 1,
-    h = (I-HH*)^{-1} t-bar = conj(g), and the functions they generate."""
+    """The point evaluation of the Hankel operator: the analytic-half solve
+    vector g = (I-H*H)^{-1} 1 (the co-analytic one, (I-HH*)^{-1} t-bar, is
+    conj(g)), psi0 = psi_H(0), the Schur function phi_H and its outer
+    companion psi_H."""
 
     g: np.ndarray
-    h: np.ndarray
     psi0: float
     phi: DiskFunction
     psi: DiskFunction
 
 
-def aak_data(h, grid=None):
-    grid = grid or default_grid()
+def aak_data(h, grid):
+    """phi_H and psi_H from one r = 1 solve and its aak_boundary samples.
+
+    psi_H(z) = 1 / (psi_H(0) g(z)) with g the solve vector's Taylor series;
+    |g| >= 1 on the closed disk in the regular regime, so the reciprocal is
+    well conditioned.  Outer-ness is audited via the log-mean identity.
+    phi_H = t f, f = q/g of aak_boundary, is the Schur function of the
+    symbol's negative coefficients, with phi_H(0) = 0; a sup modulus above
+    1 + 1e-6 on the grid raises NumericalError.
+    """
     g = solve_block(h, "unit_H2")
-    psi0, psi = psi_h(h, grid, g)
-    return AakData(g=g, h=np.conj(g), psi0=psi0, phi=phi_h(h, grid, g), psi=psi)
+    f_t, psi_t = aak_boundary(h, g, grid)
+    psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
+    logmean = float(np.mean(np.log(np.abs(psi_t))))
+    defect = abs(abs(psi.at_zero()) - np.exp(logmean))
+    if defect > 1e-6:
+        raise NumericalError(f"psi_H failed the outer-ness audit: defect {defect:.3e}")
+    phi_t = grid.nodes * f_t
+    phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
+    coef = np.array(phi.coef)
+    coef[0] = 0.0
+    sup = float(np.max(np.abs(phi_t)))
+    if sup > 1.0 + 1e-6:
+        raise NumericalError(f"phi_H left the Schur class: sup modulus {sup:.8f}")
+    return AakData(g=g, psi0=float(1.0 / np.sqrt(g[0].real)),
+                   phi=DiskFunction(coef, "interior"), psi=psi)
 
 
 def aak_limit_sweep(h):

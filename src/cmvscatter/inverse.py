@@ -35,11 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleFunction
 from .errors import NumericalError, RegularityError
 from .hankel import aak_boundary, hankel_from_symbol, regularity_test
 from .opuc import VerblunskySeq
-from .scatter import ScatteringData, forward_scatter
+from .scatter import forward_scatter
 
 
 @dataclass
@@ -128,14 +127,6 @@ class GlmMatrix:
         return np.diag(self.mat)
 
 
-def _as_scattering(source, grid=None):
-    if isinstance(source, ScatteringData):
-        return source
-    if isinstance(source, VerblunskySeq):
-        return forward_scatter(source, grid)
-    raise TypeError(f"expected VerblunskySeq or ScatteringData, got {type(source)!r}")
-
-
 def _check_glm_order(m, M):
     # the odd rows of the GLM block read W_n vectors, which have M entries
     if M < (m + 1) // 2:
@@ -143,8 +134,9 @@ def _check_glm_order(m, M):
                          f"got {M}")
 
 
-def glm_matrix(source, m, M, grid=None, check_regular=True):
-    """Columns of the GLM transform in the alternating monomial basis.
+def glm_matrix(data, m, M, check_regular=True):
+    """Columns of the GLM transform of the ScatteringData `data` in the
+    alternating monomial basis.
 
     Column n comes from the n-shift of the master, with A_n = I - W_n* W_n:
     rows n, n+2, ... hold u = A_n^{-1} e0 (even n) or v = e0 - W_n q
@@ -154,7 +146,6 @@ def glm_matrix(source, m, M, grid=None, check_regular=True):
     Raises ValueError when M < (m + 1) // 2, too short for the block.
     """
     _check_glm_order(m, M)
-    data = _as_scattering(source, grid)
     if check_regular:
         rep = regularity_test(s=data.s, d0=data.d0, M=M)
         if not rep.regular:
@@ -199,15 +190,14 @@ def _glm_reference(h, m):
     return ref
 
 
-def glm_factorization_residual(source, m, M, grid=None, glm=None):
+def glm_factorization_residual(data, m, M, glm=None):
     """Relative Frobenius gap between the reordered block-inverse and GLM * GLM^*.
 
     The reference side is a dense order-M solve (_glm_reference),
     independent of the CG solves; pass `glm` to reuse a GLM matrix already
-    built from the same source.
+    built from the same ScatteringData.
     """
     _check_glm_order(m, M)
-    data = _as_scattering(source, grid)
     if glm is None:
         glm = glm_matrix(data, m, M)
     lhs = _glm_reference(hankel_from_symbol(data.s, M).mat, m)
@@ -215,17 +205,15 @@ def glm_factorization_residual(source, m, M, grid=None, glm=None):
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
 
-def l_matrix(source, m, M, grid=None):
+def l_matrix(s, m, M):
     """Leading m x m block of L = R^{-*}, with A = I - W*W = R R*, R upper
     triangular, and so A^{-1} = L L^*; L^n_n = sqrt(<A_n^{-1} 1, 1>).
 
     The trailing block of R^{-*} is the inverse of R's trailing block, so
     column n of L, from row n down, is u_n / sqrt(u_n[0]) and L is lower
-    triangular by construction.  Accepts a sequence, ScatteringData, or a
-    sampled s directly (a_{-1} is not involved).  Returns (L, residual of
-    L L^* against a dense solve of A).
+    triangular by construction.  Takes the samples of s (a_{-1} is not
+    involved).  Returns (L, residual of L L^* against a dense solve of A).
     """
-    s = source if isinstance(source, CircleFunction) else _as_scattering(source, grid).s
     master = hankel_from_symbol(s, M, max_shift=m)
     out = np.zeros((m, m), dtype=np.complex128)
     for n, u in enumerate(master.solve(range(m))):

@@ -5,8 +5,7 @@ coefficients a_0..a_{M-1}, carried out on polynomials instead of point
 values: for a finitely supported sequence it is w = c/|Phi|^2 with
 c = prod(1 - |a_k|^2) and one degree-M polynomial Phi (the Szego
 polynomial), zero-free on the closed disk with Phi(0) = 1, whose values at
-the grid nodes come from one FFT (`szego_boundary`; the inverse map also
-evaluates the pair of its coefficients b and -b there).  `schur_function`
+the grid nodes come from one FFT (`szego_boundary`).  `schur_function`
 keeps the pointwise recursion as an independent reference.  The density
 depends only on a_0, a_1, ...; the unimodular a_{-1} enters the scattering
 function and the phases of the orthonormal Laurent basis, whose elements
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleFunction, default_grid, disk_from_boundary
+from .circle import CircleFunction, disk_from_boundary
 from .errors import NumericalError
 
 #: Largest accepted bound eps * sum|phi_k| / min_j |Phi(t_j)| on the relative
@@ -97,10 +96,9 @@ def schur_function(params, z):
     return f
 
 
-def schur_caratheodory(seq, grid=None):
+def schur_caratheodory(seq, grid):
     """Herglotz function R = (1 + z f)/(1 - z f) of the Schur function f
     with parameters a_0..a_{M-1}; R(0) = 1.  Returned as a DiskFunction."""
-    grid = grid or default_grid()
     t = grid.nodes
     f = schur_function(seq.a, t)
     r_boundary = (1.0 + t * f) / (1.0 - t * f)
@@ -157,12 +155,11 @@ def szego_boundary(a, grid):
     return c, phi_t
 
 
-def spectral_density(seq, grid=None):
+def spectral_density(seq, grid):
     """Spectral density w = Re R = c/|Phi|^2 on the grid; integrates to 1.
 
     Positive by construction.  The density does not involve a_minus1.
     """
-    grid = grid or default_grid()
     c, phi_t = szego_boundary(seq.a, grid)
     return CircleFunction(grid, c / np.abs(phi_t) ** 2)
 
@@ -287,7 +284,7 @@ def _top_exponents(m):
     return np.where(k % 2 == 0, k // 2, -(k // 2 + 1))
 
 
-def laurent_basis(seq, m, w=None, grid=None):
+def laurent_basis(seq, m, grid, w=None):
     """P_0..P_m from the Szego polynomials, with an orthonormality audit.
 
     With phi*_n = szego_polynomial(a_0..a_{n-1}) / (rho_0...rho_{n-1}) and
@@ -296,7 +293,6 @@ def laurent_basis(seq, m, w=None, grid=None):
     for w = spectral_density(seq).  Raises NumericalError if the Gram
     residual exceeds 1e-6.
     """
-    grid = grid or default_grid()
     if m > grid.size // 4:
         raise ValueError(f"basis order {m} too large for grid size {grid.size}")
     if w is None:
@@ -325,7 +321,7 @@ def laurent_basis(seq, m, w=None, grid=None):
     return LaurentBasis(coef, leading, samples, gram_residual)
 
 
-def gram_schmidt_basis(seq, m, grid=None):
+def gram_schmidt_basis(seq, m, grid):
     """Independent oracle: Cholesky orthonormalization of 1, 1/t, t, 1/t^2, ...
 
     Moment matrix entries come from the Fourier coefficients of the density,
@@ -333,7 +329,6 @@ def gram_schmidt_basis(seq, m, grid=None):
     phase convention is restored with powers of -conj(a_minus1).  Returns
     the coefficients in the layout of LaurentBasis.coef.
     """
-    grid = grid or default_grid()
     w = spectral_density(seq, grid)
     exps = _top_exponents(m)
     moments = w.coeffs()[(exps[None, :] - exps[:, None]) % grid.size]

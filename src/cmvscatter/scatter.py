@@ -15,16 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import (
-    CLAMP_THRESHOLD,
-    CircleFunction,
-    DiskFunction,
-    default_grid,
-    disk_from_boundary,
-    outer_boundary_samples,
-)
+from .circle import CLAMP_THRESHOLD, CircleFunction, DiskFunction, disk_from_boundary
 from .errors import NumericalError
-from .opuc import szego_boundary
+from .opuc import laurent_basis, szego_boundary
 
 #: Sup-norm checks skip the nodes within this many of a clamped node.
 CLAMP_HALO = 3
@@ -56,7 +49,7 @@ class ScatteringData:
         return bad
 
 
-def forward_scatter(seq, grid=None):
+def forward_scatter(seq, grid):
     """Verblunsky coefficients -> (w, D, s) on the grid.
 
     w = c/|Phi|^2 is positive, D holds the first N/2 coefficients of
@@ -64,7 +57,6 @@ def forward_scatter(seq, grid=None):
     is unimodular to rounding; `tail` reports the coefficients D drops.
     Raises NumericalError when Phi cannot be evaluated accurately on the grid.
     """
-    grid = grid or default_grid()
     c, phi_t = szego_boundary(seq.a, grid)
     w = CircleFunction(grid, c / np.abs(phi_t) ** 2)
     d0 = float(np.sqrt(c))
@@ -99,14 +91,13 @@ class PhiPsi:
     psi_boundary: np.ndarray = field(repr=False)
 
 
-def phi_from_R(R, a_minus1, grid=None):
+def phi_from_R(R, D, a_minus1, grid):
     """phi = conj(a_{-1}) (R(0) - R)/(R(0) + R) and its outer companion psi.
 
-    R must carry the probability normalization R(0) = 1.  The identity
-    D = psi / (1 + a_{-1} phi) then reproduces the outer function of
-    Re R, which tests check on the grid.
+    R must carry the probability normalization R(0) = 1, and D is the outer
+    function of Re R.  psi = D (1 + a_{-1} phi) = 2 D/(1 + R), so
+    |phi|^2 + |psi|^2 = 1 holds exactly when |D|^2 = Re R.
     """
-    grid = grid or default_grid()
     if abs(R.at_zero() - 1.0) > 1e-8:
         raise ValueError(f"R(0) must be 1, got {R.at_zero():.6g}")
     r_t = R.boundary(grid).samples
@@ -120,8 +111,7 @@ def phi_from_R(R, a_minus1, grid=None):
     coef = np.array(phi.coef)
     coef[0] = 0.0
     phi = DiskFunction(coef, "interior")
-    mod = CircleFunction(grid, np.maximum(1.0 - np.abs(phi_t) ** 2, 0.0))
-    psi_t = outer_boundary_samples(mod, grid)
+    psi_t = 2.0 * D.boundary(grid).samples / denom
     psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
     return PhiPsi(phi=phi, psi=psi, phi_boundary=phi_t, psi_boundary=psi_t)
 
@@ -144,13 +134,12 @@ class KernelPair:
         return self.kinf[0].at_zero() / self.k0[0].at_zero()
 
 
-def kernels_from_spectral(R, D, a_minus1, grid=None):
+def kernels_from_spectral(R, D, a_minus1, grid):
     """Evaluation kernels assembled from boundary values of R and D.
 
     Interior halves reproduce F_1(0); exterior halves vanish at infinity.
     The ratio z * (kinf)_1 / (k0)_1 equals phi_from_R's phi.
     """
-    grid = grid or default_grid()
     t = grid.nodes
     r_t = R.boundary(grid).samples
     d_t = D.boundary(grid).samples
@@ -183,7 +172,7 @@ def kernel_inner(f_pair, g_pair, s):
 # Asymptotics of the Laurent basis
 # ---------------------------------------------------------------------------
 
-def szego_asymptotics_residual(seq, n_list, grid=None, basis=None):
+def szego_asymptotics_residual(seq, n_list, grid):
     """Grid L2 residuals of the two basis asymptotics.
 
     Returns [(n, even, odd)] with
@@ -191,12 +180,8 @@ def szego_asymptotics_residual(seq, n_list, grid=None, basis=None):
       odd  = || t^(n+1) D P_{2n+1} + conj(a_{-1}) ||.
     For support M both stabilize at machine level once 2n >= M + 2.
     """
-    from .opuc import laurent_basis
-
-    grid = grid or default_grid()
     n_list = sorted(n_list)
-    if basis is None:
-        basis = laurent_basis(seq, 2 * max(n_list) + 1, grid=grid)
+    basis = laurent_basis(seq, 2 * max(n_list) + 1, grid)
     data = forward_scatter(seq, grid)
     d_t = data.D.boundary(grid).samples
     t = grid.nodes

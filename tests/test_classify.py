@@ -209,6 +209,23 @@ def test_classify_jacobi_quarter(grid4096):
     assert rep.index == 0
 
 
+def test_classify_takes_its_grid_from_s(grid, monkeypatch):
+    # a sequence needs the grid to sample s on; s brings its own, on which
+    # the recovered probe's density is sampled
+    classify_module = importlib.import_module("cmvscatter.classify")
+    seq = random_complex_seq(np.random.default_rng(36), 3, max_mod=0.5)
+    with pytest.raises(ValueError, match="grid"):
+        classify(seq=seq, M=128)
+    s = forward_scatter(seq, grid).s
+    grids = []
+    density = classify_module.spectral_density
+    monkeypatch.setattr(classify_module, "spectral_density",
+                        lambda q, g: grids.append(g) or density(q, g))
+    rep = classify(s=s, M=128)
+    assert grids == [s.grid]
+    assert rep.regular and rep.index == classify(seq=seq, grid=grid, M=128).index == 0
+
+
 def test_classify_monomial_scattering(grid4096):
     s = CircleFunction(grid4096, grid4096.nodes ** 2)
     rep = classify(s=s, M=128)

@@ -196,24 +196,31 @@ def test_forward_takes_no_trunc(a05_json, tmp_path):
 
 
 def test_inverse_side_runs_no_schur_loop_and_no_outer_pass(tmp_path, monkeypatch):
-    # phi and psi come from the Szego pair of the recovered coefficients, so
-    # roundtrip and classify of an s CSV never reach the pointwise Schur
-    # loop or the clamped log of the outer pass
-    from cmvscatter import circle, classify, hankel, inverse, opuc, scatter
+    # phi and psi come from the Hankel solve and the forward map from one FFT
+    # of the Szego polynomial, so no command reaches the pointwise Schur loop
+    # or the clamped log of the outer pass
+    from cmvscatter import circle, classify, cli, hankel, inverse, opuc, scatter
 
     def refuse(*args, **kwargs):
-        raise AssertionError("reached from the inverse side")
+        raise AssertionError("reached from a command")
 
-    for module in (circle, classify, hankel, inverse, opuc, scatter):
-        for name in ("schur_function", "outer_boundary_samples"):
+    for module in (circle, classify, cli, hankel, inverse, opuc, scatter):
+        for name in ("schur_function", "outer_boundary_samples", "outer_from_modulus_squared",
+                     "conjugate_function"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     src = write_seq(tmp_path / "c.json",
                     VerblunskySeq(a_minus1=np.exp(0.7j), a=(0.4 - 0.2j, 0.3j, -0.25)))
     out = str(tmp_path / "c")
-    assert main(["roundtrip", "--input", src, "--out", out, "--grid", "2048"]) == 0
-    assert main(["forward", "--input", src, "--out", out, "--grid", "2048"]) == 0
-    assert main(["classify", "--input", out + ".s.csv", "--out", out, "--grid", "2048"]) == 0
+    for argv in (["forward", "--input", src, "--weight"],
+                 ["roundtrip", "--input", src],
+                 ["inverse", "--input", out + ".s.csv"],
+                 ["classify", "--input", src],
+                 ["classify", "--input", out + ".s.csv"],
+                 ["widom", "--input", src, "--trunc", "64,128"],
+                 ["glm", "--input", src, "--trunc", "64"],
+                 ["demo-nonunique", "--trunc", "16,64"]):
+        assert main([*argv, "--out", out, "--grid", "2048"]) == 0, argv
 
 
 def test_config_validation(a05_json, tmp_path):
@@ -477,7 +484,7 @@ def test_cli_import_leaves_scipy_sparse_unloaded(a05_json, tmp_path):
 def test_every_json_output_from_one_writer(tmp_path):
     # reports serialize under their dataclass field names next to the
     # config, complex values as [re, im] pairs equal to the report in memory
-    from cmvscatter import CircleGrid, classify, glm_matrix, recover_verblunsky
+    from cmvscatter import CircleGrid, classify, forward_scatter, glm_matrix, recover_verblunsky
     from cmvscatter.classify import ClassReport
     from cmvscatter.inverse import RecoveryReport
 
@@ -529,7 +536,8 @@ def test_every_json_output_from_one_writer(tmp_path):
                  *grid]) == 0
     glm = json.loads((tmp_path / "c.glm.json").read_text())
     assert set(glm) == {"factorization_residual", "diagonal", "config"}
-    assert glm["diagonal"] == pairs(glm_matrix(seq, 8, 64, grid=CircleGrid(2048)).diag)
+    data = forward_scatter(seq, CircleGrid(2048))
+    assert glm["diagonal"] == pairs(glm_matrix(data, 8, 64).diag)
 
     with pytest.raises(TypeError):
         _jsonable(object())

@@ -8,11 +8,10 @@ from cmvscatter import (
     HankelOp,
     RegularityError,
     VerblunskySeq,
+    aak_data,
     forward_scatter,
     hankel_from_symbol,
     phi_from_R,
-    phi_h,
-    psi_h,
     regularity_test,
     schur_caratheodory,
     solve_block,
@@ -152,7 +151,7 @@ def test_near_singular_refused():
 def _near_singular_entry_points(grid):
     """Every entry point that solves at r = 1, on an operator and on samples
     whose sigma_max = 1 - 5e-9 lies inside REGULAR_GAP."""
-    from cmvscatter import (DiskFunction, ScatteringData, aak_data, glm_matrix, l_matrix,
+    from cmvscatter import (DiskFunction, ScatteringData, glm_matrix, l_matrix,
                             recover_verblunsky)
     from cmvscatter.hankel import REGULAR_GAP
 
@@ -169,8 +168,6 @@ def _near_singular_entry_points(grid):
     return s, {
         "solve_block": lambda: solve_block(h, "unit_H2"),
         "solve_block_h2minus": lambda: solve_block(h, "unit_H2minus"),
-        "psi_h": lambda: psi_h(h, grid),
-        "phi_h": lambda: phi_h(h, grid),
         "aak_data": lambda: aak_data(h, grid),
         "HankelOp.solve": lambda: h.solve(range(3)),
         "recover_verblunsky": lambda: recover_verblunsky(s, n_max=2, M=66),
@@ -180,7 +177,7 @@ def _near_singular_entry_points(grid):
 
 
 @pytest.mark.parametrize("entry", [
-    "solve_block", "solve_block_h2minus", "psi_h", "phi_h", "aak_data", "HankelOp.solve",
+    "solve_block", "solve_block_h2minus", "aak_data", "HankelOp.solve",
     "recover_verblunsky", "l_matrix", "glm_matrix"])
 def test_one_gate_refuses_r1_solve_near_unit_singular_value(entry, grid):
     _, calls = _near_singular_entry_points(grid)
@@ -205,16 +202,15 @@ def test_regularity_near_singular_reports_sweep(grid4096):
 
 
 def test_psi_h_trivial(grid):
-    h = hankel_from_symbol(CircleFunction.constant(grid, 1.0), 16)
-    psi0, psi = psi_h(h, grid)
+    bundle = aak_data(hankel_from_symbol(CircleFunction.constant(grid, 1.0), 16), grid)
+    psi0, psi = bundle.psi0, bundle.psi
     assert abs(psi0 - 1.0) < 1e-12
     assert abs(psi.at_zero() - 1.0) < 1e-12
 
 
 def test_psi_h_single(grid):
     s = _symbol(grid, VerblunskySeq(a_minus1=1.0, a=(0.5,)))
-    h = hankel_from_symbol(s, 64)
-    psi0, _ = psi_h(h, grid)
+    psi0 = aak_data(hankel_from_symbol(s, 64), grid).psi0
     assert abs(psi0 - np.sqrt(3.0) / 2.0) < 1e-6
 
 
@@ -222,25 +218,22 @@ def test_psi_h_matches_spectral_psi(grid):
     rng = np.random.default_rng(23)
     seq = random_complex_seq(rng, 3)
     data = forward_scatter(seq, grid)
-    h = hankel_from_symbol(data.s, 96)
-    _, psi = psi_h(h, grid)
-    pp = phi_from_R(schur_caratheodory(seq, grid), seq.a_minus1, grid)
+    psi = aak_data(hankel_from_symbol(data.s, 96), grid).psi
+    pp = phi_from_R(schur_caratheodory(seq, grid), data.D, seq.a_minus1, grid)
     gap = np.max(np.abs(psi.boundary(grid).samples - pp.psi_boundary))
     assert gap < 1e-6
 
 
 def test_phi_h_trivial(grid):
-    h = hankel_from_symbol(CircleFunction.constant(grid, 1.0), 16)
-    phi = phi_h(h, grid)
+    phi = aak_data(hankel_from_symbol(CircleFunction.constant(grid, 1.0), 16), grid).phi
     assert np.max(np.abs(phi.coef)) < 1e-12
 
 
 def test_phi_h_matches_spectral_phi(grid):
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
     data = forward_scatter(seq, grid)
-    h = hankel_from_symbol(data.s, 64)
-    phi = phi_h(h, grid)
-    pp = phi_from_R(schur_caratheodory(seq, grid), seq.a_minus1, grid)
+    phi = aak_data(hankel_from_symbol(data.s, 64), grid).phi
+    pp = phi_from_R(schur_caratheodory(seq, grid), data.D, seq.a_minus1, grid)
     gap = np.max(np.abs(phi.boundary(grid).samples - pp.phi_boundary))
     assert gap < 1e-6
     assert abs(phi.coef[1] + 0.5) < 1e-8
@@ -250,17 +243,13 @@ def test_phi_h_psi_h_modulus_identity(grid):
     rng = np.random.default_rng(24)
     seq = random_complex_seq(rng, 3)
     data = forward_scatter(seq, grid)
-    h = hankel_from_symbol(data.s, 96)
-    _, psi = psi_h(h, grid)
-    phi = phi_h(h, grid)
-    mod = (np.abs(phi.boundary(grid).samples) ** 2
-           + np.abs(psi.boundary(grid).samples) ** 2)
+    bundle = aak_data(hankel_from_symbol(data.s, 96), grid)
+    mod = (np.abs(bundle.phi.boundary(grid).samples) ** 2
+           + np.abs(bundle.psi.boundary(grid).samples) ** 2)
     assert np.max(np.abs(mod - 1.0)) < 1e-6
 
 
 def test_aak_data_bundle(grid):
-    from cmvscatter import aak_data
-
     rng = np.random.default_rng(30)
     s = _symbol(grid, random_complex_seq(rng, 3))
     bundle = aak_data(hankel_from_symbol(s, 64), grid)
@@ -268,7 +257,20 @@ def test_aak_data_bundle(grid):
     assert 0.0 < bundle.psi0 <= 1.0
     assert abs(bundle.psi0 - 1.0 / np.sqrt(bundle.g[0].real)) < 1e-12
     assert abs(bundle.phi.at_zero()) < 1e-12
-    assert abs(bundle.h[0].real - bundle.g[0].real) < 1e-8
+
+
+def test_aak_data_solves_and_reads_the_boundary_once(grid, monkeypatch):
+    # phi_H and psi_H come from one solve vector and one set of its samples
+    from cmvscatter import hankel
+
+    calls = []
+    for name in ("solve_block", "aak_boundary"):
+        original = getattr(hankel, name)
+        monkeypatch.setattr(hankel, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    rng = np.random.default_rng(31)
+    aak_data(hankel_from_symbol(_symbol(grid, random_complex_seq(rng, 3)), 64), grid)
+    assert sorted(calls) == ["aak_boundary", "solve_block"]
 
 
 def test_regularity_free(grid):
@@ -581,7 +583,7 @@ def test_hankel_op_transforms_its_coefficients_once(grid, monkeypatch):
 
 
 def test_point_evaluation_forms_no_matrix(grid, monkeypatch):
-    from cmvscatter import aak_data, hankel
+    from cmvscatter import hankel
 
     rng = np.random.default_rng(51)
     s = _symbol(grid, random_complex_seq(rng, 4))

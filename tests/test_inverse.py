@@ -274,14 +274,14 @@ def test_recover_refuses_outside_one_to_one_regime(grid4096):
 
 def test_glm_free(grid):
     seq = VerblunskySeq(a_minus1=np.exp(0.5j))
-    glm = glm_matrix(seq, 8, 32, grid=grid)
+    glm = glm_matrix(forward_scatter(seq, grid), 8, 32)
     expected = np.diag([1.0 if r % 2 == 0 else -seq.a_minus1 for r in range(8)])
     assert np.max(np.abs(glm.mat - expected)) < 1e-10
 
 
 def test_glm_diagonal_single(grid):
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
-    glm = glm_matrix(seq, 8, 128, grid=grid)
+    glm = glm_matrix(forward_scatter(seq, grid), 8, 128)
     d0 = np.sqrt(3.0) / 2.0
     rho0 = np.sqrt(3.0) / 2.0
     assert abs(glm.diag[0] - 1.0 / d0) < 1e-6
@@ -293,7 +293,7 @@ def test_glm_diagonal_two_coefficients(grid):
     # rhokern products: entry (2n, 2n) is rho_0...rho_{2n-1}/D(0) and entry
     # (2n+1, 2n+1) is rho_0...rho_{2n}/D(0) in modulus
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5, 1.0 / 3.0))
-    glm = glm_matrix(seq, 6, 128, grid=grid)
+    glm = glm_matrix(forward_scatter(seq, grid), 6, 128)
     rho = seq.rho()
     d0 = float(np.prod(rho))
     assert abs(abs(glm.diag[1]) - rho[0] / d0) < 1e-6
@@ -304,38 +304,39 @@ def test_glm_diagonal_two_coefficients(grid):
 def test_glm_lower_triangular(grid):
     rng = np.random.default_rng(27)
     seq = random_complex_seq(rng, 3)
-    glm = glm_matrix(seq, 10, 128, grid=grid)
+    glm = glm_matrix(forward_scatter(seq, grid), 10, 128)
     upper = np.triu(glm.mat, k=1)
     assert np.max(np.abs(upper)) == 0.0
 
 
 def test_glm_factorization_free(grid):
-    residual = glm_factorization_residual(VerblunskySeq(a_minus1=-1.0), 8, 32, grid=grid)
+    residual = glm_factorization_residual(
+        forward_scatter(VerblunskySeq(a_minus1=-1.0), grid), 8, 32)
     assert residual < 1e-12
 
 
 def test_glm_factorization_single(grid):
     residual = glm_factorization_residual(
-        VerblunskySeq(a_minus1=1.0, a=(0.5,)), 8, 128, grid=grid)
+        forward_scatter(VerblunskySeq(a_minus1=1.0, a=(0.5,)), grid), 8, 128)
     assert residual < 1e-6
 
 
 def test_glm_factorization_three_coefficients(grid4096):
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5, 1.0 / 3.0, -0.25))
-    residual = glm_factorization_residual(seq, 8, 256, grid=grid4096)
+    residual = glm_factorization_residual(forward_scatter(seq, grid4096), 8, 256)
     assert residual < 1e-5
 
 
 def test_glm_refuses_a_block_longer_than_its_vectors(grid):
     # rows 1, 3, ... of a GLM block of order m read m//2 entries of W_n
     # vectors with M entries, and the reference reads (m+1)//2 of each half
-    seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
+    data = forward_scatter(VerblunskySeq(a_minus1=1.0, a=(0.5,)), grid)
     for m, M in ((16, 7), (15, 7)):
         with pytest.raises(ValueError, match="needs Hankel order"):
-            glm_matrix(seq, m, M, grid=grid)
+            glm_matrix(data, m, M)
         with pytest.raises(ValueError, match="needs Hankel order"):
-            glm_factorization_residual(seq, m, M, grid=grid)
-    assert glm_matrix(seq, 15, 8, grid=grid).mat.shape == (15, 15)
+            glm_factorization_residual(data, m, M)
+    assert glm_matrix(data, 15, 8).mat.shape == (15, 15)
 
 
 def _dense_glm_reference(h, m):
@@ -380,14 +381,14 @@ def test_glm_requires_regular():
 
 
 def test_l_matrix_free(grid):
-    mat, residual = l_matrix(VerblunskySeq(a_minus1=1.0), 8, 32, grid=grid)
+    mat, residual = l_matrix(forward_scatter(VerblunskySeq(a_minus1=1.0), grid).s, 8, 32)
     assert np.max(np.abs(mat - np.eye(8))) < 1e-12
     assert residual < 1e-12
 
 
 def test_l_matrix_single(grid):
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
-    mat, residual = l_matrix(seq, 8, 128, grid=grid)
+    mat, residual = l_matrix(forward_scatter(seq, grid).s, 8, 128)
     diag = np.diag(mat).real
     assert abs(diag[0] - 2.0 / np.sqrt(3.0)) < 1e-6
     assert abs(diag[1] - 1.0) < 1e-6
@@ -398,7 +399,7 @@ def test_l_matrix_single(grid):
 def test_l_matrix_diag_is_rho_tail_product(grid):
     rng = np.random.default_rng(28)
     seq = random_complex_seq(rng, 4)
-    mat, residual = l_matrix(seq, 8, 128, grid=grid)
+    mat, residual = l_matrix(forward_scatter(seq, grid).s, 8, 128)
     rho = seq.rho()
     diag = np.diag(mat).real
     for n in range(8):

@@ -182,31 +182,34 @@ def test_forward_property(mods, phases, theta):
 
 
 def test_phi_psi_trivial(grid):
-    R = schur_caratheodory(VerblunskySeq(a_minus1=1.0), grid)
-    pp = phi_from_R(R, 1.0, grid)
+    seq = VerblunskySeq(a_minus1=1.0)
+    R = schur_caratheodory(seq, grid)
+    pp = phi_from_R(R, forward_scatter(seq, grid).D, 1.0, grid)
     assert np.max(np.abs(pp.phi_boundary)) < 1e-12
     assert np.max(np.abs(pp.psi_boundary - 1.0)) < 1e-12
 
 
 def test_phi_psi_single(grid):
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
+    data = forward_scatter(seq, grid)
     R = schur_caratheodory(seq, grid)
-    pp = phi_from_R(R, 1.0, grid)
+    pp = phi_from_R(R, data.D, 1.0, grid)
     # phi = -z/2 under the resolved convention; psi is the constant sqrt3/2
     assert abs(pp.phi.coef[1] + 0.5) < 1e-12
     assert np.max(np.abs(pp.phi.coef[2:10])) < 1e-12
     assert abs(pp.psi.at_zero() - np.sqrt(3.0) / 2.0) < 1e-12
     # D = psi / (1 + a_minus1 phi) reproduces the outer function on the grid
-    data = forward_scatter(seq, grid)
     d_t = data.D.boundary(grid).samples
     rebuilt = pp.psi_boundary / (1.0 + 1.0 * pp.phi_boundary)
     assert np.max(np.abs(rebuilt - d_t)) < 1e-8
 
 
 def test_phi_psi_modulus_identity(grid, corpus):
+    # |phi|^2 + |psi|^2 = 1 is |D|^2 = Re R: D from the Szego polynomial,
+    # R from the Schur recursion
     for seq in corpus[:5]:
         R = schur_caratheodory(seq, grid)
-        pp = phi_from_R(R, seq.a_minus1, grid)
+        pp = phi_from_R(R, forward_scatter(seq, grid).D, seq.a_minus1, grid)
         mod = np.abs(pp.phi_boundary) ** 2 + np.abs(pp.psi_boundary) ** 2
         assert np.max(np.abs(mod - 1.0)) < 1e-8
         assert np.max(np.abs(pp.phi_boundary)) <= 1.0 + 1e-8
@@ -219,7 +222,7 @@ def test_phi_psi_nado_identity(grid):
         seq = random_complex_seq(rng, 3)
         data = forward_scatter(seq, grid)
         R = schur_caratheodory(seq, grid)
-        pp = phi_from_R(R, seq.a_minus1, grid)
+        pp = phi_from_R(R, data.D, seq.a_minus1, grid)
         d_t = data.D.boundary(grid).samples
         rebuilt = pp.psi_boundary / (1.0 + seq.a_minus1 * pp.phi_boundary)
         assert np.max(np.abs(rebuilt - d_t)) < 1e-8
@@ -272,7 +275,7 @@ def test_kernel_ratio_reproduces_phi(grid):
     data = forward_scatter(seq, grid)
     R = schur_caratheodory(seq, grid)
     K = kernels_from_spectral(R, data.D, seq.a_minus1, grid)
-    pp = phi_from_R(R, seq.a_minus1, grid)
+    pp = phi_from_R(R, data.D, seq.a_minus1, grid)
     t = grid.nodes
     lhs = t * K.kinf[0].boundary(grid).samples / K.k0[0].boundary(grid).samples
     assert np.max(np.abs(lhs - pp.phi_boundary)) < 1e-8
