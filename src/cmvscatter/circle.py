@@ -86,13 +86,6 @@ class CircleFunction:
             self._coeffs = c
         return self._coeffs
 
-    def coeff(self, k):
-        """ghat(k) for a single integer frequency k in (-N/2, N/2]."""
-        n = self.grid.size
-        if not -n // 2 < k <= n // 2:
-            raise ValueError(f"frequency {k} outside (-{n // 2}, {n // 2}]")
-        return self.coeffs()[k % n]
-
     @classmethod
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.size, value, dtype=np.complex128))
@@ -157,9 +150,7 @@ class DiskFunction:
         return out if out.shape else complex(out)
 
     def at_zero(self):
-        if self.kind == "exterior":
-            return complex(self.coef[0]) if len(self.coef) else 0.0
-        return complex(self.coef[0])
+        return complex(self.coef[0]) if len(self.coef) else 0j
 
     def boundary(self, grid):
         """Boundary values on the grid as a CircleFunction."""
@@ -414,12 +405,10 @@ def _index_field(n, words):
 
 
 def write_circle_csv(path, f, config=None):
-    """Write a CircleFunction; `config` (a dict) is embedded as a comment.
-
-    Values are printed at 17 significant digits, which round-trips every
-    float64 exactly.  `path` and `f` may also be equal-length sequences of
-    paths and functions on one grid; the files then share the formatting of
-    their index,theta columns.
+    """Write the CircleFunctions `f`, all on one grid, one to each path in
+    `path`; `config` (a dict) is embedded as a comment.  Values are printed
+    at 17 significant digits, which round-trips every float64 exactly, and
+    the files share the formatting of their index,theta columns.
 
     The bytes are those of '%.17g' % x.  Each block of rows is laid out in
     numpy, with one _format_g17 call on the block's theta column and every
@@ -432,8 +421,6 @@ def write_circle_csv(path, f, config=None):
     of +0.0 only, with no sign bit (the imaginary part of a real function),
     is not formatted; it prints the constant "0".
     """
-    if isinstance(f, CircleFunction):
-        path, f = [path], [f]
     grid = f[0].grid
     if len(path) != len(f) or any(g.grid.size != grid.size for g in f):
         raise ValueError("write_circle_csv needs one path per function, all on one grid")

@@ -15,6 +15,7 @@ import numpy as np
 from .circle import CircleFunction, CircleGrid
 from .errors import NumericalError, RegularityError
 from .hankel import hankel_from_symbol, regularity_test
+from .inverse import glm_matrix, recover_verblunsky
 from .opuc import VerblunskySeq, spectral_density
 from .scatter import forward_scatter
 
@@ -30,16 +31,13 @@ GLM_COLUMNS = 16
 
 
 def besov_half_norm(f):
-    """sum_k |k| |c_k|^2 over the available frequency window.
-
-    Accepts a CircleFunction or a coefficient array in numpy.fft layout.
-    """
+    """sum_k |k| |c_k|^2 of the CircleFunction f over its frequency window."""
     return _windowed_besov(f)[0]
 
 
 def _windowed_besov(f):
     """(full-window value, growth fraction when the window doubles)."""
-    c = f.coeffs() if isinstance(f, CircleFunction) else np.asarray(f, np.complex128)
+    c = f.coeffs()
     n = len(c)
     k = np.fft.fftfreq(n, d=1.0 / n)
     term = np.abs(k) * np.abs(c) ** 2
@@ -159,8 +157,6 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
     under `diagnostics`, disagreements included.
     From s alone the probe recovers coefficients 0..min(16, M - 64).
     """
-    from .inverse import glm_matrix, recover_verblunsky
-
     if seq is None and s is None:
         raise ValueError("provide a sequence or a scattering function")
 
@@ -211,7 +207,6 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
     winv_half = float(np.mean(1.0 / np.maximum(w_half.samples.real, 1e-300)))
     winv_growth = (winv_full - winv_half) / winv_half if winv_half > 0 else 0.0
 
-    hs_cond_a2 = a2_stable
     hs_cond_hankel = sigma < 1.0 - 1e-6 and winv_growth <= WINDOW_GROWTH_LIMIT
     hs_member = regular and sigma < 1.0 - 1e-6 and a2_stable
 
@@ -230,9 +225,9 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
             glm_column_norm = None
 
     diagnostics = {
-        "th47_a2_condition": bool(hs_cond_a2),
+        "th47_a2_condition": bool(a2_stable),
         "th47_hankel_condition": bool(hs_cond_hankel),
-        "th47_disagreement": bool(hs_cond_a2 != hs_cond_hankel),
+        "th47_disagreement": bool(a2_stable != hs_cond_hankel),
         "a2_growth": float(a2_growth),
         "w_inverse_mean": winv_full,
         "w_inverse_growth": float(winv_growth),

@@ -31,13 +31,29 @@ EXIT_NUMERICAL = 3
 EXIT_NONREGULAR = 4
 
 
+def _pair(value, name):
+    """The complex number of the [re, im] pair `value` of the input JSON."""
+    # exact types: bool is an int subclass, and true, "1" and null are not numbers
+    if (type(value) is list and len(value) == 2
+            and type(value[0]) in (int, float) and type(value[1]) in (int, float)):
+        return complex(value[0], value[1])
+    raise TypeError(f"{name} must be an [re, im] pair of numbers, got {json.dumps(value)}")
+
+
 def _load_seq(path):
+    """The sequence of the input JSON {"a_minus1": [re, im], "a": [[re, im], ...]}."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        return VerblunskySeq.from_json(obj)
-    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        a_minus1, a = _pair(obj["a_minus1"], "a_minus1"), obj["a"]
+        if type(a) is not list:
+            raise TypeError(f"a must be a list of [re, im] pairs, got {json.dumps(a)}")
+        # one shared name: formatting "a[k]" for each entry doubled the
+        # parse time of a 2000-entry sequence
+        a = tuple(_pair(x, "an entry of a") for x in a)
+    except (OSError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read Verblunsky JSON from {path}: {exc}") from exc
+    return VerblunskySeq(a_minus1=a_minus1, a=a)
 
 
 def _load_scattering_csv(args):
@@ -301,15 +317,11 @@ def main(argv=None):
     try:
         _validate(args)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RegularityError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RegularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONREGULAR
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, RegularityError):
+            return EXIT_NONREGULAR
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleFunction, DiskFunction, disk_from_boundary
+from .circle import DiskFunction, disk_from_boundary
 from .errors import NumericalError, RegularityError
 
 
@@ -68,9 +68,9 @@ class HankelOp:
     order: int
     neg: np.ndarray = field(repr=False)
     cols: int = None
-    _mat: np.ndarray = field(default=None, repr=False)
-    _sigma: float = field(default=None, repr=False)
-    _spec: np.ndarray = field(default=None, repr=False)
+    _mat: np.ndarray = field(default=None, init=False, repr=False)
+    _sigma: float = field(default=None, init=False, repr=False)
+    _spec: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.cols = self.order if self.cols is None else self.cols
@@ -296,35 +296,27 @@ def hankel_from_symbol(s, M, max_shift=0):
 
     Requires the grid to resolve frequencies down to -(2M - 1 + max_shift).
     """
-    if isinstance(s, CircleFunction):
-        c = s.coeffs()
-        n = s.grid.size
-        avail = n // 2 - 1
-        need = 2 * M - 1 + max_shift
-        if need > avail:
-            raise ValueError(
-                f"grid of size {n} resolves {avail} negative coefficients; "
-                f"order {M} with shift {max_shift} needs {need}")
-        neg = c[: -avail - 1: -1]
-    else:
-        neg = np.asarray(s, dtype=np.complex128)
-    return HankelOp(M, neg, cols=M + max_shift)
+    n = s.grid.size
+    avail = n // 2 - 1
+    need = 2 * M - 1 + max_shift
+    if need > avail:
+        raise ValueError(
+            f"grid of size {n} resolves {avail} negative coefficients; "
+            f"order {M} with shift {max_shift} needs {need}")
+    return HankelOp(M, s.coeffs()[: -avail - 1: -1], cols=M + max_shift)
 
 
-def solve_block(h, rhs="unit_H2", r=1.0):
-    """(I - r^2 H*H)^{-1} 1  or  (I - r^2 H H*)^{-1} t-bar by conjugate gradients.
+def solve_block(h, r=1.0):
+    """(I - r^2 H*H)^{-1} 1 by conjugate gradients.
 
-    The analytic solve is h.solve, whose condition estimate is
-    1/(1 - (r sigma_max)^2) and which refuses r = 1 outside the one-to-one
-    regime.  The co-analytic solve is the conjugate of the analytic one,
-    since I - r^2 HH* = conj(I - r^2 H*H) for complex symmetric H.
+    This is h.solve, whose condition estimate is 1/(1 - (r sigma_max)^2)
+    and which refuses r = 1 outside the one-to-one regime.  The co-analytic
+    solve (I - r^2 HH*)^{-1} t-bar is the conjugate of this vector, since
+    I - r^2 HH* = conj(I - r^2 H*H) for complex symmetric H.
     """
-    if rhs not in ("unit_H2", "unit_H2minus"):
-        raise ValueError(f"unknown rhs selector {rhs!r}")
     if not 0.0 < r <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {r}")
-    x = h.solve(0, r=r)
-    return x if rhs == "unit_H2" else np.conj(x)
+    return h.solve(0, r=r)
 
 
 def aak_boundary(h, g, grid):
@@ -362,7 +354,7 @@ def aak_data(h, grid):
     symbol's negative coefficients, with phi_H(0) = 0; a sup modulus above
     1 + 1e-6 on the grid raises NumericalError.
     """
-    g = solve_block(h, "unit_H2")
+    g = solve_block(h)
     f_t, psi_t = aak_boundary(h, g, grid)
     psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
     logmean = float(np.mean(np.log(np.abs(psi_t))))
@@ -387,7 +379,7 @@ def aak_limit_sweep(h):
     Returns (values, exists): the limit is declared nonexistent when the
     sweep grows beyond 1e6.
     """
-    values = [float(solve_block(h, "unit_H2", r=r)[0].real) for r in (0.9, 0.99, 0.999)]
+    values = [float(solve_block(h, r=r)[0].real) for r in (0.9, 0.99, 0.999)]
     return values, values[-1] <= 1e6
 
 
@@ -402,7 +394,7 @@ class RegularityReport:
     r_sweep: list = None
 
 
-def regularity_test(s, d0, M=256):
+def regularity_test(s, d0, M):
     """Decide the one-to-one regime: the solve constant must match 1/D(0)^2
     within REGULARITY_TOL.
 
@@ -415,7 +407,7 @@ def regularity_test(s, d0, M=256):
     def lhs_at(order):
         h = hankel_from_symbol(s, order)
         try:
-            return float(solve_block(h, "unit_H2")[0].real), h
+            return float(solve_block(h)[0].real), h
         except RegularityError:
             return None, h
 

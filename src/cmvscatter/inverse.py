@@ -112,12 +112,11 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
 # GLM transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlmMatrix:
     """Lower-triangular change of basis, columns from normalized kernels."""
 
-    order: int
-    mat: np.ndarray = field(repr=False, compare=False)
+    mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.mat.setflags(write=False)
@@ -165,7 +164,7 @@ def glm_matrix(data, m, M, check_regular=True):
             scale = -data.a_minus1 / np.sqrt(first[0].real)
         out[n::2, n] = scale * first[: (m - n + 1) // 2]
         out[n + 1::2, n] = scale * second[: (m - n) // 2]
-    return GlmMatrix(m, out)
+    return GlmMatrix(out)
 
 
 def _glm_reference(h, m):

@@ -22,7 +22,6 @@ ratio_n = -conj(a_{-1}) * a_n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,22 +66,6 @@ class VerblunskySeq:
         if k is not None:
             return float(np.sqrt(1.0 - abs(self.coeff(k)) ** 2))
         return np.sqrt(1.0 - np.abs(np.asarray(self.a)) ** 2) if self.a else np.array([])
-
-    def to_json(self):
-        return {
-            "a_minus1": [self.a_minus1.real, self.a_minus1.imag],
-            "a": [[x.real, x.imag] for x in self.a],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        am1 = obj["a_minus1"]
-        return cls(
-            a_minus1=complex(am1[0], am1[1]),
-            a=tuple(complex(x[0], x[1]) for x in obj["a"]),
-        )
 
 
 def schur_function(params, z):
@@ -168,37 +151,26 @@ def spectral_density(seq, grid):
 # CMV matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmvMatrix:
     """Leading n-by-n truncation of the five-diagonal unitary product."""
 
-    dim: int
-    mat: np.ndarray = field(repr=False, compare=False)
+    mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.mat.setflags(write=False)
 
 
 def _block_factors(seq, nbig):
-    """The two block-diagonal factors on nbig coordinates (nbig even)."""
-    a0 = np.zeros((nbig, nbig), dtype=np.complex128)
-    a1 = np.zeros((nbig, nbig), dtype=np.complex128)
-    for k in range(0, nbig - 1, 2):
-        ak = seq.coeff(k)
-        rk = seq.rho(k)
-        a0[k, k] = ak
-        a0[k, k + 1] = rk
-        a0[k + 1, k] = rk
-        a0[k + 1, k + 1] = -np.conj(ak)
-    a1[0, 0] = -np.conj(seq.a_minus1)
-    for k in range(1, nbig - 1, 2):
-        ak = seq.coeff(k)
-        rk = seq.rho(k)
-        a1[k, k] = ak
-        a1[k, k + 1] = rk
-        a1[k + 1, k] = rk
-        a1[k + 1, k + 1] = -np.conj(ak)
-    return a0, a1
+    """The two block-diagonal factors on nbig coordinates (nbig even): the
+    2x2 block of a_k on coordinates k, k+1 goes into factor k % 2, and
+    factor 1 opens with the 1x1 block -conj(a_minus1)."""
+    factors = np.zeros((2, nbig, nbig), dtype=np.complex128)
+    factors[1, 0, 0] = -np.conj(seq.a_minus1)
+    for k in range(nbig - 1):
+        ak, rk = seq.coeff(k), seq.rho(k)
+        factors[k % 2, k:k + 2, k:k + 2] = [[ak, rk], [rk, -np.conj(ak)]]
+    return factors
 
 
 def build_cmv(seq, n):
@@ -213,13 +185,13 @@ def build_cmv(seq, n):
     nbig = n + 4 + (n % 2)
     a0, a1 = _block_factors(seq, nbig)
     prod = a1 @ a0
-    return CmvMatrix(n, prod[:n, :n].copy())
+    return CmvMatrix(prod[:n, :n].copy())
 
 
 def cmv_inverse_truncation(seq, n):
     """n-by-n leading block of the inverse: the product is unitary, so this
     is the adjoint of its leading block."""
-    return CmvMatrix(n, build_cmv(seq, n).mat.conj().T)
+    return CmvMatrix(build_cmv(seq, n).mat.conj().T)
 
 
 def cmv_recursion_check(seq, n):

@@ -126,7 +126,6 @@ class KernelPair:
 
     k0: tuple
     kinf: tuple
-    grid: object
 
     def verbk_ratio(self):
         """First-component ratio at the origin; the inverse map reads the
@@ -158,7 +157,7 @@ def kernels_from_spectral(R, D, a_minus1, grid):
         disk_from_boundary(kinf_1, grid, kind="interior")[0],
         disk_from_boundary(kinf_2, grid, kind="exterior")[0],
     )
-    return KernelPair(k0=k0, kinf=kinf, grid=grid)
+    return KernelPair(k0=k0, kinf=kinf)
 
 
 def kernel_inner(f_pair, g_pair, s):

@@ -99,7 +99,7 @@ def test_ac3_aak_regularity_constant(forwarded):
     worst = 0.0
     for seq, data in forwarded:
         h = hankel_from_symbol(data.s, HANKEL_ORDER)
-        lhs = solve_block(h, "unit_H2")[0].real
+        lhs = solve_block(h)[0].real
         worst = max(worst, abs(lhs * data.d0 ** 2 - 1.0))
     t2 = CircleFunction(GRID, GRID.nodes ** 2)
     rep = regularity_test(s=t2, d0=1.0 / np.sqrt(6.0), M=HANKEL_ORDER)

@@ -34,18 +34,18 @@ def test_fourier_constant(grid):
 
 def test_fourier_monomial(grid):
     f = CircleFunction(grid, grid.nodes ** 2)
-    assert abs(f.coeff(2) - 1.0) < 1e-13
-    assert abs(f.coeff(0)) < 1e-13
-    assert abs(f.coeff(-2)) < 1e-13
+    assert abs(f.coeffs()[2] - 1.0) < 1e-13
+    assert abs(f.coeffs()[0]) < 1e-13
+    assert abs(f.coeffs()[-2]) < 1e-13
 
 
 def test_fourier_squared_distance(grid):
     # |1 - t|^2 = 2 - t - conj(t)
     f = CircleFunction(grid, np.abs(1.0 - grid.nodes) ** 2)
-    assert abs(f.coeff(0) - 2.0) < 1e-13
-    assert abs(f.coeff(1) + 1.0) < 1e-13
-    assert abs(f.coeff(-1) + 1.0) < 1e-13
-    assert abs(f.coeff(5)) < 1e-13
+    assert abs(f.coeffs()[0] - 2.0) < 1e-13
+    assert abs(f.coeffs()[1] + 1.0) < 1e-13
+    assert abs(f.coeffs()[-1] + 1.0) < 1e-13
+    assert abs(f.coeffs()[5]) < 1e-13
 
 
 def test_fourier_roundtrip_and_real_symmetry(grid):
@@ -83,7 +83,7 @@ def test_conjugate_log_modulus(grid):
     u = CircleFunction(grid, np.log(np.abs(1.0 - 0.5 * t)))
     tilde = conjugate_function(u)
     assert np.max(np.abs(tilde.samples.real - np.angle(1.0 - 0.5 * t))) < 1e-12
-    assert abs(tilde.coeff(0)) < 1e-13
+    assert abs(tilde.coeffs()[0]) < 1e-13
 
 
 def test_conjugate_rejects_complex(grid):
@@ -185,13 +185,13 @@ def test_csv_roundtrip(tmp_path, grid):
     rng = np.random.default_rng(6)
     f = CircleFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))
     path = tmp_path / "f.csv"
-    write_circle_csv(path, f, {"grid": grid.size, "cmd": "test"})
+    write_circle_csv([path], [f], {"grid": grid.size, "cmd": "test"})
     g, config = read_circle_csv(path)
     assert np.array_equal(g.samples, f.samples)
     assert config["grid"] == str(grid.size)
     # byte-identical on rewrite
     path2 = tmp_path / "f2.csv"
-    write_circle_csv(path2, g, {"grid": grid.size, "cmd": "test"})
+    write_circle_csv([path2], [g], {"grid": grid.size, "cmd": "test"})
     assert path.read_bytes() == path2.read_bytes()
 
 

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from cmvscatter import VerblunskySeq, read_circle_csv
-from cmvscatter.cli import _jsonable, main
+from cmvscatter.cli import _jsonable, _load_seq, main
 
 
 def write_seq(path, seq):
+    """The input JSON of `seq`: {"a_minus1": [re, im], "a": [[re, im], ...]}."""
+    obj = {"a_minus1": [seq.a_minus1.real, seq.a_minus1.imag],
+           "a": [[x.real, x.imag] for x in seq.a]}
     with open(path, "w") as fh:
-        json.dump(seq.to_json(), fh)
+        json.dump(obj, fh)
     return str(path)
 
 
@@ -72,6 +75,36 @@ def test_forward_bad_input(tmp_path):
     assert code == 2
 
 
+def test_seq_json_read_back_exactly(tmp_path):
+    seq = VerblunskySeq(a_minus1=np.exp(0.4j), a=(0.5, -0.25j, 1e-300 + 0.1j))
+    back = _load_seq(write_seq(tmp_path / "c.json", seq))
+    assert back.a_minus1 == seq.a_minus1
+    assert back.a == seq.a
+
+
+@pytest.mark.parametrize("text, cause", [
+    ('{"a_minus1": [1.0, 0.0], "a": [[0.5]]}', "an entry of a must be an [re, im] pair"),
+    ('{"a_minus1": [-1], "a": []}', "a_minus1 must be an [re, im] pair"),
+    ('{"a_minus1": [1.0, 0.0], "a": {"k": 1}}', "a must be a list of [re, im] pairs"),
+    ('{"a_minus1": [1.0, 0.0], "a": "ab"}', "a must be a list of [re, im] pairs"),
+    ('{"a_minus1": [1.0, 0.0], "a": [[0.5, 0, 9]]}', "an entry of a must be an [re, im] pair"),
+    ('{"a_minus1": [1.0, 0.0], "a": [[0, false]]}', "an entry of a must be an [re, im] pair"),
+    # json reads an integer literal of any length, and complex() overflows on it
+    ('{"a_minus1": [1.0, 0.0], "a": [[1' + "0" * 400 + ', 0]]}',
+     "too large to convert to float"),
+])
+def test_malformed_sequence_json_is_input_error(text, cause, tmp_path, capsys):
+    # each value must be a list of two JSON numbers; a bool is not one
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["forward", "--input", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read Verblunsky JSON from {bad}: ")
+    assert cause in err
+    assert not (tmp_path / "x.s.csv").exists()
+
+
 def test_forward_missing_file(tmp_path):
     code = main(["forward", "--input", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "x")])
@@ -124,7 +157,7 @@ def test_inverse_strict_exit_on_monomial(tmp_path):
 
     g = cs.CircleGrid(1024)
     t2 = cs.CircleFunction(g, g.nodes ** 2)
-    cs.write_circle_csv(tmp_path / "t2.csv", t2)
+    cs.write_circle_csv([tmp_path / "t2.csv"], [t2])
     code = main(["inverse", "--input", str(tmp_path / "t2.csv"),
                  "--out", str(tmp_path / "rec"), "--trunc", "128",
                  "--order", "4", "--strict"])
@@ -541,3 +574,23 @@ def test_every_json_output_from_one_writer(tmp_path):
 
     with pytest.raises(TypeError):
         _jsonable(object())
+
+
+def test_only_cli_knows_the_json_formats():
+    # cli reads the input JSON and writes every output JSON; no other module
+    # of the package imports json, and the sequence has no JSON form of its own
+    import ast
+    from pathlib import Path
+
+    import cmvscatter
+
+    importers = set()
+    for path in Path(cmvscatter.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module == "json"):
+                importers.add(path.stem)
+    assert importers == {"cli"}
+    assert not hasattr(VerblunskySeq, "to_json")
+    assert not hasattr(VerblunskySeq, "from_json")

@@ -89,7 +89,7 @@ def test_hilbert_schmidt_window_identity(grid):
 def test_solve_zero_operator(grid):
     s = CircleFunction.constant(grid, 1.0)
     h = hankel_from_symbol(s, 16)
-    g = solve_block(h, "unit_H2")
+    g = solve_block(h)
     assert abs(g[0] - 1.0) < 1e-14
     assert np.max(np.abs(g[1:])) < 1e-14
 
@@ -97,29 +97,18 @@ def test_solve_zero_operator(grid):
 def test_solve_single_coefficient_constant(grid):
     s = _symbol(grid, VerblunskySeq(a_minus1=1.0, a=(0.5,)))
     h = hankel_from_symbol(s, 64)
-    g = solve_block(h, "unit_H2")
+    g = solve_block(h)
     assert abs(g[0] - 4.0 / 3.0) < 1e-6
-
-
-def test_solve_two_sided_scalar_identity(grid):
-    rng = np.random.default_rng(20)
-    s = _symbol(grid, random_complex_seq(rng, 4))
-    big = hankel_from_symbol(s, 48, max_shift=3)
-    for n in range(3):
-        h = big.shifted(n)
-        lhs = solve_block(h, "unit_H2minus")[0].real
-        rhs = solve_block(h, "unit_H2")[0].real
-        assert abs(lhs - rhs) < 1e-8
 
 
 def test_solve_monotone_in_radius_and_order(grid):
     rng = np.random.default_rng(21)
     s = _symbol(grid, random_complex_seq(rng, 4))
     h = hankel_from_symbol(s, 64)
-    values = [solve_block(h, "unit_H2", r=r)[0].real for r in (0.9, 0.99, 1.0)]
+    values = [solve_block(h, r=r)[0].real for r in (0.9, 0.99, 1.0)]
     assert values[0] <= values[1] + 1e-12
     assert values[1] <= values[2] + 1e-12
-    by_order = [solve_block(hankel_from_symbol(s, m), "unit_H2")[0].real
+    by_order = [solve_block(hankel_from_symbol(s, m))[0].real
                 for m in (16, 32, 64)]
     assert by_order[0] <= by_order[1] + 1e-12
     assert by_order[1] <= by_order[2] + 1e-12
@@ -140,8 +129,8 @@ def test_near_singular_refused():
     neg[0] = 1.0  # sigma_max exactly 1
     h = HankelOp(16, neg)
     with pytest.raises(RegularityError, match="sigma_max = 1:"):
-        solve_block(h, "unit_H2")
-    g = solve_block(h, "unit_H2", r=0.9)
+        solve_block(h)
+    g = solve_block(h, r=0.9)
     assert abs(g[0] - 1.0 / (1.0 - 0.81)) < 1e-10
     sweep, exists = aak_limit_sweep(h)
     assert exists  # 1/(1 - r^2) stays below the blowup bound at r = 0.999
@@ -166,8 +155,7 @@ def _near_singular_entry_points(grid):
     assert 1.0 - h.sigma_max() <= REGULAR_GAP
     assert 1.0 - hankel_from_symbol(s, 64, max_shift=4).sigma_max() <= REGULAR_GAP
     return s, {
-        "solve_block": lambda: solve_block(h, "unit_H2"),
-        "solve_block_h2minus": lambda: solve_block(h, "unit_H2minus"),
+        "solve_block": lambda: solve_block(h),
         "aak_data": lambda: aak_data(h, grid),
         "HankelOp.solve": lambda: h.solve(range(3)),
         "recover_verblunsky": lambda: recover_verblunsky(s, n_max=2, M=66),
@@ -177,7 +165,7 @@ def _near_singular_entry_points(grid):
 
 
 @pytest.mark.parametrize("entry", [
-    "solve_block", "solve_block_h2minus", "aak_data", "HankelOp.solve",
+    "solve_block", "aak_data", "HankelOp.solve",
     "recover_verblunsky", "l_matrix", "glm_matrix"])
 def test_one_gate_refuses_r1_solve_near_unit_singular_value(entry, grid):
     _, calls = _near_singular_entry_points(grid)
@@ -385,8 +373,7 @@ def test_hankel_symmetry_property(grid4096, mods, phases, theta, order):
     # conjugate of the analytic one, and it matches a dense solve of I - HH*
     h = hankel_from_symbol(_property_symbol(grid4096, mods, phases, theta), order)
     assert np.array_equal(h.mat, h.mat.T)
-    x = solve_block(h, "unit_H2")
-    assert np.array_equal(solve_block(h, "unit_H2minus"), np.conj(x))
+    x = solve_block(h)
     ref = np.linalg.solve(np.eye(order) - h.mat @ h.mat.conj().T, np.eye(order, 1)[:, 0])
     assert np.linalg.norm(np.conj(x) - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -481,15 +468,14 @@ def _dense_block_solve(h, r=1.0):
 
 @pytest.mark.parametrize("m", [16, 64, 256])
 def test_solve_block_matches_dense_cholesky(grid4096, m):
-    # complex coefficients and a random unimodular a_minus1, both selectors
+    # complex coefficients and a random unimodular a_minus1
     rng = np.random.default_rng(50 + m)
     big = hankel_from_symbol(_symbol(grid4096, random_complex_seq(rng, 6)), m, max_shift=2)
     for h in (big.shifted(0), big.shifted(2)):
         for r in (0.9, 0.99, 1.0):
             ref = _dense_block_solve(h, r)
-            x = solve_block(h, "unit_H2", r=r)
+            x = solve_block(h, r=r)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-            assert np.array_equal(solve_block(h, "unit_H2minus", r=r), np.conj(x))
 
 
 def test_solve_block_near_singular_matches_dense(grid4096):
@@ -499,7 +485,7 @@ def test_solve_block_near_singular_matches_dense(grid4096):
     h = hankel_from_symbol(_symbol(grid4096, jacobi_verblunsky(2.0, 0.0, 400)), 512)
     assert 1.0 - h.sigma_max() < 1e-6
     ref = _dense_block_solve(h)
-    x = solve_block(h, "unit_H2")
+    x = solve_block(h)
     assert abs(x[0].real - ref[0].real) <= 1e-8 * ref[0].real
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -511,7 +497,7 @@ def test_solve_block_refuses_indefinite_system():
     neg = np.zeros(64, dtype=complex)
     neg[0] = 2.0  # sigma_max 2, so I - 0.81 H*H has the eigenvalue -2.24
     with pytest.raises(NumericalError, match="positive definite"):
-        solve_block(HankelOp(16, neg), "unit_H2", r=0.9)
+        solve_block(HankelOp(16, neg), r=0.9)
 
 
 def test_cg_refuses_an_unconverged_residual():
@@ -548,7 +534,7 @@ def test_regularity_long_jacobi_matches_dense(long_jacobi):
     rep = regularity_test(s=data.s, d0=data.d0, M=1024)
     h = hankel_from_symbol(data.s, 1024)
     ref = _dense_block_solve(h)[0].real
-    assert abs(solve_block(h, "unit_H2")[0].real - ref) <= 1e-12 * ref
+    assert abs(solve_block(h)[0].real - ref) <= 1e-12 * ref
     assert abs(rep.lhs * data.d0 ** 2 - 1.0) <= 1e-12
     assert rep.converged
 
@@ -560,7 +546,7 @@ def test_regularity_decides_on_the_larger_order(long_jacobi):
 
     seq, data = long_jacobi
     h = hankel_from_symbol(data.s, 1024)
-    assert abs(solve_block(h, "unit_H2")[0].real * data.d0 ** 2 - 1.0) > 1e-4
+    assert abs(solve_block(h)[0].real * data.d0 ** 2 - 1.0) > 1e-4
     assert regularity_test(s=data.s, d0=data.d0, M=1024).regular
     rep = classify(seq, grid=data.s.grid, M=1024)
     assert rep.regular and rep.hs_member and not rep.gi_member
@@ -588,7 +574,7 @@ def test_point_evaluation_forms_no_matrix(grid, monkeypatch):
     rng = np.random.default_rng(51)
     s = _symbol(grid, random_complex_seq(rng, 4))
     h = hankel_from_symbol(s, 64)
-    solve_block(h, "unit_H2")
+    solve_block(h)
     assert h._mat is None
     bundle = aak_data(h, grid)
     assert h._mat is None

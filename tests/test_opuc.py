@@ -38,13 +38,6 @@ def test_seq_validation():
     assert seq.rho(5) == 1.0
 
 
-def test_seq_json_roundtrip():
-    seq = VerblunskySeq(a_minus1=np.exp(0.4j), a=(0.5, -0.25j))
-    back = VerblunskySeq.from_json(seq.to_json())
-    assert back.a_minus1 == seq.a_minus1
-    assert back.a == seq.a
-
-
 def test_schur_free(grid):
     R = schur_caratheodory(VerblunskySeq(a_minus1=-1.0), grid)
     assert abs(R.at_zero() - 1.0) < 1e-13
