@@ -17,7 +17,6 @@ from .circle import (
 from .classify import (
     ClassReport,
     a2_constant,
-    besov_half_norm,
     classify,
     jacobi_verblunsky,
     widom_det,
@@ -29,10 +28,8 @@ from .errors import (
     RegularityError,
 )
 from .hankel import (
-    AakData,
     HankelOp,
     RegularityReport,
-    aak_data,
     hankel_from_symbol,
     regularity_test,
     solve_block,
@@ -42,7 +39,6 @@ from .inverse import (
     RecoveryReport,
     glm_factorization_residual,
     glm_matrix,
-    l_matrix,
     recover_verblunsky,
 )
 from .opuc import (
@@ -50,18 +46,15 @@ from .opuc import (
     LaurentBasis,
     VerblunskySeq,
     build_cmv,
-    cmv_recursion_check,
     laurent_basis,
     schur_caratheodory,
     spectral_density,
 )
 from .scatter import (
     KernelPair,
-    PhiPsi,
     ScatteringData,
     forward_scatter,
     kernels_from_spectral,
-    phi_from_R,
     szego_asymptotics_residual,
 )
 

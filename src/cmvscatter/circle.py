@@ -138,17 +138,6 @@ class DiskFunction:
         self.coef = coef
         self.kind = kind
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        c = self.coef
-        if self.kind == "exterior":
-            z = np.where(z == 0, np.inf, z)
-            z = 1.0 / z
-        out = np.zeros_like(z)
-        for cm in c[::-1]:
-            out = out * z + cm
-        return out if out.shape else complex(out)
-
     def at_zero(self):
         return complex(self.coef[0]) if len(self.coef) else 0j
 

@@ -30,11 +30,6 @@ MIN_WINDOW_SUPPORT = 16
 GLM_COLUMNS = 16
 
 
-def besov_half_norm(f):
-    """sum_k |k| |c_k|^2 of the CircleFunction f over its frequency window."""
-    return _windowed_besov(f)[0]
-
-
 def _windowed_besov(f):
     """(full-window value, growth fraction when the window doubles)."""
     c = f.coeffs()

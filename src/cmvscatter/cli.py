@@ -235,7 +235,7 @@ def cmd_demo_nonunique(args):
         print(f"demo-nonunique: truncation {m}: sup |s_1 - s_2| = {sup_diffs[m]:.6g} "
               f"(away from t = +-1: {away_diffs[m]:.6g})")
     t2 = CircleFunction(grid, grid.nodes ** 2)
-    rep = regularity_test(s=t2, d0=1.0 / np.sqrt(6.0), M=min(truncs[-1], grid.size // 4))
+    rep = regularity_test(s=t2, d0=1.0 / np.sqrt(6.0), M=min(max(truncs), grid.size // 4))
     print(f"demo-nonunique: common s = t^2 regularity: lhs={rep.lhs:.6g} "
           f"rhs={rep.rhs:.6g} regular={rep.regular}")
     _write_json(args, ".demo.json", {

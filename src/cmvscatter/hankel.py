@@ -14,7 +14,7 @@ operator, Gram or factor is formed.  One Lanczos loop on W*W with full
 reorthogonalization serves two readers: the norm, which is cached, and the
 Widom determinant det(I - W*W) = prod(1 - theta_i) over the Ritz values.
 Every solve with I - r^2 W_n* W_n, square (solve_block and the inverse
-map) or shifted (GLM and L), runs its one conjugate-gradient loop.  At
+map) or shifted (GLM), runs its one conjugate-gradient loop.  At
 r = 1 that loop is the one gate of the one-to-one regime: it refuses, with
 RegularityError, when 1 - ||W|| <= REGULAR_GAP, before any step.  The loop
 takes a sequence of shifts as the independent rows of one block, so all
@@ -22,8 +22,7 @@ the shifts of a caller share each step's FFTs.  By Kronecker's theorem a
 symbol of degree p has a Hankel operator of rank at most p, so CG stops
 after about p - n steps and the determinant's Lanczos after about p.
 aak_boundary turns the r = 1 solve vector into the grid samples of the
-Schur function and its outer companion that aak_data and the inverse map
-read.
+Schur function and its outer companion that the inverse map reads.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import DiskFunction, disk_from_boundary
+from .circle import DiskFunction
 from .errors import NumericalError, RegularityError
 
 
@@ -329,47 +328,6 @@ def aak_boundary(h, g, grid):
     q = -np.conj(h.apply(0, g))
     q_t, g_t = (DiskFunction(v).boundary(grid).samples for v in (q, g))
     return q_t / g_t, np.sqrt(g[0].real) / g_t
-
-
-@dataclass
-class AakData:
-    """The point evaluation of the Hankel operator: the analytic-half solve
-    vector g = (I-H*H)^{-1} 1 (the co-analytic one, (I-HH*)^{-1} t-bar, is
-    conj(g)), psi0 = psi_H(0), the Schur function phi_H and its outer
-    companion psi_H."""
-
-    g: np.ndarray
-    psi0: float
-    phi: DiskFunction
-    psi: DiskFunction
-
-
-def aak_data(h, grid):
-    """phi_H and psi_H from one r = 1 solve and its aak_boundary samples.
-
-    psi_H(z) = 1 / (psi_H(0) g(z)) with g the solve vector's Taylor series;
-    |g| >= 1 on the closed disk in the regular regime, so the reciprocal is
-    well conditioned.  Outer-ness is audited via the log-mean identity.
-    phi_H = t f, f = q/g of aak_boundary, is the Schur function of the
-    symbol's negative coefficients, with phi_H(0) = 0; a sup modulus above
-    1 + 1e-6 on the grid raises NumericalError.
-    """
-    g = solve_block(h)
-    f_t, psi_t = aak_boundary(h, g, grid)
-    psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
-    logmean = float(np.mean(np.log(np.abs(psi_t))))
-    defect = abs(abs(psi.at_zero()) - np.exp(logmean))
-    if defect > 1e-6:
-        raise NumericalError(f"psi_H failed the outer-ness audit: defect {defect:.3e}")
-    phi_t = grid.nodes * f_t
-    phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
-    coef = np.array(phi.coef)
-    coef[0] = 0.0
-    sup = float(np.max(np.abs(phi_t)))
-    if sup > 1.0 + 1e-6:
-        raise NumericalError(f"phi_H left the Schur class: sup modulus {sup:.8f}")
-    return AakData(g=g, psi0=float(1.0 / np.sqrt(g[0].real)),
-                   phi=DiskFunction(coef, "interior"), psi=psi)
 
 
 def aak_limit_sweep(h):

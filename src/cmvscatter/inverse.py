@@ -22,8 +22,8 @@ log and clamps nothing.  One forward map of the recovered sequence then
 audits the result: the spread of -s conj(D)/D, which is the constant a_{-1}
 in the regular regime, and the distance to the input samples.
 
-The GLM transform and L take their columns from one batched call of
-shifted solves on a wide master W, whose column blocks W_n = W[:, n:] are
+The GLM transform takes its columns from one batched call of shifted
+solves on a wide master W, whose column blocks W_n = W[:, n:] are
 the Hankel operators of t^n s.  The GLM factorization residual checks them
 against a dense reference that shares nothing with CG: the inverse of
 [[I, H*], [H, I]], read from its order-M Schur complement I - H*H.
@@ -202,25 +202,3 @@ def glm_factorization_residual(data, m, M, glm=None):
     lhs = _glm_reference(hankel_from_symbol(data.s, M).mat, m)
     rhs = glm.mat @ glm.mat.conj().T
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-
-
-def l_matrix(s, m, M):
-    """Leading m x m block of L = R^{-*}, with A = I - W*W = R R*, R upper
-    triangular, and so A^{-1} = L L^*; L^n_n = sqrt(<A_n^{-1} 1, 1>).
-
-    The trailing block of R^{-*} is the inverse of R's trailing block, so
-    column n of L, from row n down, is u_n / sqrt(u_n[0]) and L is lower
-    triangular by construction.  Takes the samples of s (a_{-1} is not
-    involved).  Returns (L, residual of L L^* against a dense solve of A).
-    """
-    master = hankel_from_symbol(s, M, max_shift=m)
-    out = np.zeros((m, m), dtype=np.complex128)
-    for n, u in enumerate(master.solve(range(m))):
-        out[n:, n] = u[: m - n] / np.sqrt(u[0].real)
-        out[n, n] = np.sqrt(u[0].real)
-    w = master.mat
-    a = np.eye(master.cols) - w.conj().T @ w
-    lead = np.linalg.solve(a, np.eye(len(a))[:, :m])[:m]
-    rhs = out @ out.conj().T
-    residual = float(np.linalg.norm(lead - rhs) / np.linalg.norm(rhs))
-    return out, residual

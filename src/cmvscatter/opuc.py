@@ -188,53 +188,6 @@ def build_cmv(seq, n):
     return CmvMatrix(prod[:n, :n].copy())
 
 
-def cmv_inverse_truncation(seq, n):
-    """n-by-n leading block of the inverse: the product is unitary, so this
-    is the adjoint of its leading block."""
-    return CmvMatrix(build_cmv(seq, n).mat.conj().T)
-
-
-def cmv_recursion_check(seq, n):
-    """Max residual of the two coupled shift identities on basis vectors.
-
-    Both identities are evaluated for all block indices that stay inside the
-    truncation window; the contract is residual <= 1e-12.
-    """
-    if n < 2 * seq.support + 4:
-        raise ValueError(
-            f"dimension {n} too small; need at least {2 * seq.support + 4}")
-    mat = build_cmv(seq, n).mat
-    inv = cmv_inverse_truncation(seq, n).mat
-
-    def e(i):
-        v = np.zeros(n, dtype=np.complex128)
-        v[i] = 1.0
-        return v
-
-    worst = 0.0
-    for k in range(0, (n - 4) // 2):
-        i = 2 * k
-        # inverse identity: A^-1 { rho_{2k-1} e_{2k-1} - conj(a_{2k-1}) e_{2k} }
-        #                  = conj(a_{2k}) e_{2k} + rho_{2k} e_{2k+1}
-        if k == 0:
-            lhs_vec = -np.conj(seq.a_minus1) * e(0)
-        else:
-            lhs_vec = seq.rho(i - 1) * e(i - 1) - np.conj(seq.coeff(i - 1)) * e(i)
-        res = inv @ lhs_vec - (np.conj(seq.coeff(i)) * e(i) + seq.rho(i) * e(i + 1))
-        worst = max(worst, float(np.max(np.abs(res))))
-        # forward identity: A { rho_{2k} e_{2k} - a_{2k} e_{2k+1} }
-        #                  = a_{2k+1} e_{2k+1} + rho_{2k+1} e_{2k+2}
-        lhs_vec = seq.rho(i) * e(i) - seq.coeff(i) * e(i + 1)
-        res = mat @ lhs_vec - (seq.coeff(i + 1) * e(i + 1) + seq.rho(i + 1) * e(i + 2))
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
-
-
-def cmv_first_return(seq, n=8):
-    """<A^{-1} e_0, e_0> from the truncated inverse; equals -a_minus1 * conj(a_0)."""
-    return complex(cmv_inverse_truncation(seq, n).mat[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # The CMV orthonormal Laurent basis
 # ---------------------------------------------------------------------------
@@ -291,24 +244,3 @@ def laurent_basis(seq, m, grid, w=None):
         raise NumericalError(
             f"Laurent basis lost orthonormality: Gram residual {gram_residual:.3e}")
     return LaurentBasis(coef, leading, samples, gram_residual)
-
-
-def gram_schmidt_basis(seq, m, grid):
-    """Independent oracle: Cholesky orthonormalization of 1, 1/t, t, 1/t^2, ...
-
-    Moment matrix entries come from the Fourier coefficients of the density,
-    and the triangular solve fixes positive leading coefficients; the CMV
-    phase convention is restored with powers of -conj(a_minus1).  Returns
-    the coefficients in the layout of LaurentBasis.coef.
-    """
-    w = spectral_density(seq, grid)
-    exps = _top_exponents(m)
-    moments = w.coeffs()[(exps[None, :] - exps[:, None]) % grid.size]
-    low = np.linalg.cholesky(moments)
-    # coefficient columns T must satisfy T^T G conj(T) = I, so T = inv(L^T)
-    trans = np.linalg.inv(low.T)
-    phases = (-np.conj(seq.a_minus1)) ** (np.arange(m + 1) % 2)
-    half = (m + 1) // 2
-    coef = np.zeros((m + 1, 2 * half + 1), dtype=np.complex128)
-    coef[:, half + exps] = (trans * phases).T
-    return coef

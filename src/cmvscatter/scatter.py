@@ -1,4 +1,4 @@
-"""Forward scattering: outer functions, the scattering function, phi/psi,
+"""Forward scattering: outer functions, the scattering function,
 reproducing kernels, and the polynomial-basis asymptotics.
 
 For a finitely supported sequence the forward map is rational: with the
@@ -70,52 +70,6 @@ def forward_scatter(seq, grid):
     )
 
 
-def scattering_identity_residual(data):
-    """Max of |s * conj(D) + a_minus1 * D| on the grid, clamp windows excluded."""
-    d_t = data.D.boundary(data.s.grid).samples
-    res = np.abs(data.s.samples * np.conj(d_t) + data.a_minus1 * d_t)
-    return float(res[~data.excluded_nodes()].max())
-
-
-# ---------------------------------------------------------------------------
-# phi / psi
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PhiPsi:
-    """Schur-class phi with phi(0)=0 and the outer psi with |psi|^2 = 1-|phi|^2."""
-
-    phi: DiskFunction
-    psi: DiskFunction
-    phi_boundary: np.ndarray = field(repr=False)
-    psi_boundary: np.ndarray = field(repr=False)
-
-
-def phi_from_R(R, D, a_minus1, grid):
-    """phi = conj(a_{-1}) (R(0) - R)/(R(0) + R) and its outer companion psi.
-
-    R must carry the probability normalization R(0) = 1, and D is the outer
-    function of Re R.  psi = D (1 + a_{-1} phi) = 2 D/(1 + R), so
-    |phi|^2 + |psi|^2 = 1 holds exactly when |D|^2 = Re R.
-    """
-    if abs(R.at_zero() - 1.0) > 1e-8:
-        raise ValueError(f"R(0) must be 1, got {R.at_zero():.6g}")
-    r_t = R.boundary(grid).samples
-    denom = 1.0 + r_t
-    if np.min(np.abs(denom)) < 1e-13:
-        raise NumericalError("R(0) + R vanishes on the grid")
-    phi_t = np.conj(a_minus1) * (1.0 - r_t) / denom
-    phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
-    if abs(phi.at_zero()) > 1e-10:
-        raise NumericalError(f"phi(0) = {phi.at_zero():.3e}, expected 0")
-    coef = np.array(phi.coef)
-    coef[0] = 0.0
-    phi = DiskFunction(coef, "interior")
-    psi_t = 2.0 * D.boundary(grid).samples / denom
-    psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
-    return PhiPsi(phi=phi, psi=psi, phi_boundary=phi_t, psi_boundary=psi_t)
-
-
 # ---------------------------------------------------------------------------
 # Reproducing kernels
 # ---------------------------------------------------------------------------
@@ -137,7 +91,8 @@ def kernels_from_spectral(R, D, a_minus1, grid):
     """Evaluation kernels assembled from boundary values of R and D.
 
     Interior halves reproduce F_1(0); exterior halves vanish at infinity.
-    The ratio z * (kinf)_1 / (k0)_1 equals phi_from_R's phi.
+    The ratio z * (kinf)_1 / (k0)_1 is the Schur function
+    phi = conj(a_{-1}) (1 - R)/(1 + R).
     """
     t = grid.nodes
     r_t = R.boundary(grid).samples
@@ -158,13 +113,6 @@ def kernels_from_spectral(R, D, a_minus1, grid):
         disk_from_boundary(kinf_2, grid, kind="exterior")[0],
     )
     return KernelPair(k0=k0, kinf=kinf)
-
-
-def kernel_inner(f_pair, g_pair, s):
-    """<F, G> in the scattering form: mean of (sF1+F2) conj(sG1+G2)."""
-    sf = s.samples * f_pair[0] + f_pair[1]
-    sg = s.samples * g_pair[0] + g_pair[1]
-    return complex(np.mean(sf * np.conj(sg)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cmvscatter import CircleGrid, VerblunskySeq
+from cmvscatter import CircleGrid, DiskFunction, VerblunskySeq
+from cmvscatter.circle import disk_from_boundary
 from cmvscatter.opuc import schur_function
 
 
@@ -76,3 +77,25 @@ def schur_density(a, grid):
     recursion; it loses digits to cancellation where w is small."""
     zf = grid.nodes * schur_function(a, grid.nodes)
     return (1.0 - np.abs(zf) ** 2) / np.abs(1.0 - zf) ** 2
+
+
+def phi_from_R(R, D, a_minus1, grid):
+    """The spectral reference (phi, psi, phi_t, psi_t) for the AAK read-out:
+    phi = conj(a_{-1}) (1 - R)/(1 + R) with phi(0) = 0, and its outer
+    companion psi = D (1 + a_{-1} phi) = 2 D/(1 + R), as DiskFunctions and
+    as grid samples.
+
+    R is the Caratheodory function with R(0) = 1 and D the outer function of
+    Re R, so |phi|^2 + |psi|^2 = 1 holds exactly when |D|^2 = Re R.
+    """
+    assert abs(R.at_zero() - 1.0) <= 1e-8
+    r_t = R.boundary(grid).samples
+    denom = 1.0 + r_t
+    phi_t = np.conj(a_minus1) * (1.0 - r_t) / denom
+    phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
+    assert abs(phi.at_zero()) <= 1e-10
+    coef = np.array(phi.coef)
+    coef[0] = 0.0
+    psi_t = 2.0 * D.boundary(grid).samples / denom
+    psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
+    return DiskFunction(coef, "interior"), psi, phi_t, psi_t

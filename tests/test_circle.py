@@ -166,21 +166,6 @@ def test_outer_multiplicative(grid):
     assert np.max(np.abs(o12.boundary(grid).samples - prod)) < 1e-9 * scale
 
 
-def test_disk_interior_matches_abel_sum(grid):
-    rng = np.random.default_rng(5)
-    coef = rng.normal(size=12) + 1j * rng.normal(size=12)
-    from cmvscatter.circle import DiskFunction
-
-    df = DiskFunction(coef, "interior")
-    boundary = df.boundary(grid)
-    c = boundary.coeffs()
-    for z in (0.5, 0.7j, -0.6 + 0.5j, 0.99):
-        r, th = abs(complex(z)), np.angle(complex(z))
-        k = np.fft.fftfreq(grid.size, d=1.0 / grid.size)
-        abel = np.sum(c * (r ** np.abs(k)) * np.exp(1j * k * th))
-        assert abs(df(z) - abel) < 1e-9
-
-
 def test_csv_roundtrip(tmp_path, grid):
     rng = np.random.default_rng(6)
     f = CircleFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))

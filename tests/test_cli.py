@@ -215,6 +215,16 @@ def test_demo_nonunique_command(tmp_path, capsys):
     assert abs(rep["common_s_regularity"]["rhs"] - 6.0) < 1e-9
 
 
+def test_demo_nonunique_tests_t2_at_the_largest_trunc(tmp_path):
+    # the t^2 regularity check runs at the largest --trunc, whatever the order
+    reps = []
+    for name, truncs in (("up", "100,400"), ("down", "400,100")):
+        assert main(["demo-nonunique", "--out", str(tmp_path / name),
+                     "--grid", "4096", "--trunc", truncs]) == 0
+        reps.append(json.loads((tmp_path / f"{name}.demo.json").read_text()))
+    assert reps[0]["common_s_regularity"] == reps[1]["common_s_regularity"]
+
+
 def test_forward_takes_no_trunc(a05_json, tmp_path):
     # forward reads no Hankel order, so a small grid passes and --trunc is
     # not an option of the command

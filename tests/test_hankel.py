@@ -5,23 +5,44 @@ from hypothesis import strategies as st
 
 from cmvscatter import (
     CircleFunction,
+    DiskFunction,
     HankelOp,
     RegularityError,
     VerblunskySeq,
-    aak_data,
     forward_scatter,
     hankel_from_symbol,
-    phi_from_R,
     regularity_test,
     schur_caratheodory,
     solve_block,
 )
+from cmvscatter.circle import disk_from_boundary
+from cmvscatter.hankel import aak_boundary
 
-from conftest import random_complex_seq
+from conftest import phi_from_R, random_complex_seq
 
 
 def _symbol(grid, seq):
     return forward_scatter(seq, grid).s
+
+
+def _aak_data(h, grid):
+    """(g, psi0, phi, psi): phi_H and psi_H read from one r = 1 solve
+    through aak_boundary, the read-out the inverse map takes.
+
+    g = (I - H*H)^{-1} 1, psi0 = psi_H(0) = 1/sqrt(g[0]), psi_H its outer
+    companion, which passes the log-mean identity of an outer function, and
+    phi_H = t f with phi_H(0) = 0, which stays in the Schur class on the grid.
+    """
+    g = solve_block(h)
+    f_t, psi_t = aak_boundary(h, g, grid)
+    psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
+    assert abs(abs(psi.at_zero()) - np.exp(np.mean(np.log(np.abs(psi_t))))) <= 1e-6
+    phi_t = grid.nodes * f_t
+    assert np.max(np.abs(phi_t)) <= 1.0 + 1e-6
+    phi, _ = disk_from_boundary(phi_t, grid, kind="interior")
+    coef = np.array(phi.coef)
+    coef[0] = 0.0
+    return g, float(1.0 / np.sqrt(g[0].real)), DiskFunction(coef, "interior"), psi
 
 
 def test_constant_symbol_gives_zero(grid):
@@ -140,8 +161,7 @@ def test_near_singular_refused():
 def _near_singular_entry_points(grid):
     """Every entry point that solves at r = 1, on an operator and on samples
     whose sigma_max = 1 - 5e-9 lies inside REGULAR_GAP."""
-    from cmvscatter import (DiskFunction, ScatteringData, glm_matrix, l_matrix,
-                            recover_verblunsky)
+    from cmvscatter import ScatteringData, glm_matrix, recover_verblunsky
     from cmvscatter.hankel import REGULAR_GAP
 
     sigma = 1.0 - 5e-9
@@ -156,17 +176,14 @@ def _near_singular_entry_points(grid):
     assert 1.0 - hankel_from_symbol(s, 64, max_shift=4).sigma_max() <= REGULAR_GAP
     return s, {
         "solve_block": lambda: solve_block(h),
-        "aak_data": lambda: aak_data(h, grid),
         "HankelOp.solve": lambda: h.solve(range(3)),
         "recover_verblunsky": lambda: recover_verblunsky(s, n_max=2, M=66),
-        "l_matrix": lambda: l_matrix(s, 4, 64),
         "glm_matrix": lambda: glm_matrix(data, 4, 64, check_regular=False),
     }
 
 
 @pytest.mark.parametrize("entry", [
-    "solve_block", "aak_data", "HankelOp.solve",
-    "recover_verblunsky", "l_matrix", "glm_matrix"])
+    "solve_block", "HankelOp.solve", "recover_verblunsky", "glm_matrix"])
 def test_one_gate_refuses_r1_solve_near_unit_singular_value(entry, grid):
     _, calls = _near_singular_entry_points(grid)
     with pytest.raises(RegularityError, match="not in the one-to-one regime"):
@@ -190,15 +207,15 @@ def test_regularity_near_singular_reports_sweep(grid4096):
 
 
 def test_psi_h_trivial(grid):
-    bundle = aak_data(hankel_from_symbol(CircleFunction.constant(grid, 1.0), 16), grid)
-    psi0, psi = bundle.psi0, bundle.psi
+    h = hankel_from_symbol(CircleFunction.constant(grid, 1.0), 16)
+    _, psi0, _, psi = _aak_data(h, grid)
     assert abs(psi0 - 1.0) < 1e-12
     assert abs(psi.at_zero() - 1.0) < 1e-12
 
 
 def test_psi_h_single(grid):
     s = _symbol(grid, VerblunskySeq(a_minus1=1.0, a=(0.5,)))
-    psi0 = aak_data(hankel_from_symbol(s, 64), grid).psi0
+    psi0 = _aak_data(hankel_from_symbol(s, 64), grid)[1]
     assert abs(psi0 - np.sqrt(3.0) / 2.0) < 1e-6
 
 
@@ -206,23 +223,23 @@ def test_psi_h_matches_spectral_psi(grid):
     rng = np.random.default_rng(23)
     seq = random_complex_seq(rng, 3)
     data = forward_scatter(seq, grid)
-    psi = aak_data(hankel_from_symbol(data.s, 96), grid).psi
-    pp = phi_from_R(schur_caratheodory(seq, grid), data.D, seq.a_minus1, grid)
-    gap = np.max(np.abs(psi.boundary(grid).samples - pp.psi_boundary))
+    psi = _aak_data(hankel_from_symbol(data.s, 96), grid)[3]
+    psi_t = phi_from_R(schur_caratheodory(seq, grid), data.D, seq.a_minus1, grid)[3]
+    gap = np.max(np.abs(psi.boundary(grid).samples - psi_t))
     assert gap < 1e-6
 
 
 def test_phi_h_trivial(grid):
-    phi = aak_data(hankel_from_symbol(CircleFunction.constant(grid, 1.0), 16), grid).phi
+    phi = _aak_data(hankel_from_symbol(CircleFunction.constant(grid, 1.0), 16), grid)[2]
     assert np.max(np.abs(phi.coef)) < 1e-12
 
 
 def test_phi_h_matches_spectral_phi(grid):
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
     data = forward_scatter(seq, grid)
-    phi = aak_data(hankel_from_symbol(data.s, 64), grid).phi
-    pp = phi_from_R(schur_caratheodory(seq, grid), data.D, seq.a_minus1, grid)
-    gap = np.max(np.abs(phi.boundary(grid).samples - pp.phi_boundary))
+    phi = _aak_data(hankel_from_symbol(data.s, 64), grid)[2]
+    phi_t = phi_from_R(schur_caratheodory(seq, grid), data.D, seq.a_minus1, grid)[2]
+    gap = np.max(np.abs(phi.boundary(grid).samples - phi_t))
     assert gap < 1e-6
     assert abs(phi.coef[1] + 0.5) < 1e-8
 
@@ -231,34 +248,18 @@ def test_phi_h_psi_h_modulus_identity(grid):
     rng = np.random.default_rng(24)
     seq = random_complex_seq(rng, 3)
     data = forward_scatter(seq, grid)
-    bundle = aak_data(hankel_from_symbol(data.s, 96), grid)
-    mod = (np.abs(bundle.phi.boundary(grid).samples) ** 2
-           + np.abs(bundle.psi.boundary(grid).samples) ** 2)
+    _, _, phi, psi = _aak_data(hankel_from_symbol(data.s, 96), grid)
+    mod = np.abs(phi.boundary(grid).samples) ** 2 + np.abs(psi.boundary(grid).samples) ** 2
     assert np.max(np.abs(mod - 1.0)) < 1e-6
 
 
 def test_aak_data_bundle(grid):
     rng = np.random.default_rng(30)
     s = _symbol(grid, random_complex_seq(rng, 3))
-    bundle = aak_data(hankel_from_symbol(s, 64), grid)
-    assert bundle.g[0].real >= 1.0 - 1e-12
-    assert 0.0 < bundle.psi0 <= 1.0
-    assert abs(bundle.psi0 - 1.0 / np.sqrt(bundle.g[0].real)) < 1e-12
-    assert abs(bundle.phi.at_zero()) < 1e-12
-
-
-def test_aak_data_solves_and_reads_the_boundary_once(grid, monkeypatch):
-    # phi_H and psi_H come from one solve vector and one set of its samples
-    from cmvscatter import hankel
-
-    calls = []
-    for name in ("solve_block", "aak_boundary"):
-        original = getattr(hankel, name)
-        monkeypatch.setattr(hankel, name, lambda *a, _f=original, _n=name, **k:
-                            calls.append(_n) or _f(*a, **k))
-    rng = np.random.default_rng(31)
-    aak_data(hankel_from_symbol(_symbol(grid, random_complex_seq(rng, 3)), 64), grid)
-    assert sorted(calls) == ["aak_boundary", "solve_block"]
+    g, psi0, phi, _ = _aak_data(hankel_from_symbol(s, 64), grid)
+    assert g[0].real >= 1.0 - 1e-12
+    assert 0.0 < psi0 <= 1.0
+    assert abs(phi.at_zero()) < 1e-12
 
 
 def test_regularity_free(grid):
@@ -379,14 +380,14 @@ def test_hankel_symmetry_property(grid4096, mods, phases, theta, order):
 
 
 def test_shifted_solves_gate_on_the_master_norm(grid4096):
-    from cmvscatter import RegularityError, l_matrix, recover_verblunsky
+    from cmvscatter import RegularityError, recover_verblunsky
 
     s = CircleFunction(grid4096, 1.0 / grid4096.nodes)  # shat(-1) = 1
     assert 1.0 - hankel_from_symbol(s, 64, max_shift=4).sigma_max() <= 1e-8
     with pytest.raises(RegularityError, match="one-to-one"):
         recover_verblunsky(s, n_max=2, M=66)
     with pytest.raises(RegularityError, match="one-to-one"):
-        l_matrix(s, 4, 64)
+        hankel_from_symbol(s, 64, max_shift=4).solve(range(4))
 
 
 def test_shifted_cg_near_singular_matches_dense():
@@ -576,12 +577,12 @@ def test_point_evaluation_forms_no_matrix(grid, monkeypatch):
     h = hankel_from_symbol(s, 64)
     solve_block(h)
     assert h._mat is None
-    bundle = aak_data(h, grid)
+    g, _, phi, _ = _aak_data(h, grid)
     assert h._mat is None
     # phi_H's co-analytic product -H* conj(g) against the dense matrix
-    q = -(h.mat.conj().T @ np.conj(bundle.g))
-    phi_t = grid.nodes * np.fft.ifft(q, grid.size) / np.fft.ifft(bundle.g, grid.size)
-    assert np.max(np.abs(bundle.phi.boundary(grid).samples - phi_t)) < 1e-12
+    q = -(h.mat.conj().T @ np.conj(g))
+    phi_t = grid.nodes * np.fft.ifft(q, grid.size) / np.fft.ifft(g, grid.size)
+    assert np.max(np.abs(phi.boundary(grid).samples - phi_t)) < 1e-12
     built = []
     monkeypatch.setattr(hankel, "hankel_from_symbol",
                         lambda *a, **k: built.append(hankel_from_symbol(*a, **k)) or built[-1])

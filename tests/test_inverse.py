@@ -11,7 +11,6 @@ from cmvscatter import (
     forward_scatter,
     glm_factorization_residual,
     glm_matrix,
-    l_matrix,
     recover_verblunsky,
 )
 from cmvscatter.classify import jacobi_verblunsky
@@ -380,51 +379,34 @@ def test_glm_requires_regular():
         glm_matrix(data, 4, 64)
 
 
-def test_l_matrix_free(grid):
-    mat, residual = l_matrix(forward_scatter(VerblunskySeq(a_minus1=1.0), grid).s, 8, 32)
-    assert np.max(np.abs(mat - np.eye(8))) < 1e-12
-    assert residual < 1e-12
-
-
-def test_l_matrix_single(grid):
-    seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
-    mat, residual = l_matrix(forward_scatter(seq, grid).s, 8, 128)
-    diag = np.diag(mat).real
-    assert abs(diag[0] - 2.0 / np.sqrt(3.0)) < 1e-6
-    assert abs(diag[1] - 1.0) < 1e-6
-    assert abs(diag[1] / diag[0] - np.sqrt(3.0) / 2.0) < 1e-6
-    assert residual < 1e-5
-
-
 def test_l_matrix_diag_is_rho_tail_product(grid):
+    # the GLM's even solves u_n = (I - W_n* W_n)^{-1} e0 have
+    # u_n[0] = 1/prod(rho[n:])^2, so L^n_n = sqrt(u_n[0]) for A^{-1} = L L*
     rng = np.random.default_rng(28)
     seq = random_complex_seq(rng, 4)
-    mat, residual = l_matrix(forward_scatter(seq, grid).s, 8, 128)
+    solves = hankel_from_symbol(forward_scatter(seq, grid).s, 128, max_shift=8).solve(range(8))
     rho = seq.rho()
-    diag = np.diag(mat).real
-    for n in range(8):
+    for n, u in enumerate(solves):
         tail = float(np.prod(rho[n:])) if n < len(rho) else 1.0
-        assert abs(diag[n] - 1.0 / tail) < 1e-6
-    assert residual < 1e-5
+        assert abs(u[0].real - 1.0 / tail ** 2) < 1e-6
 
 
 def test_l_matrix_factors_the_master_inverse(grid4096):
-    # L is the leading block of R^{-*}, so L L* equals the leading block of
-    # A^{-1} for the wide master A = I - W*W exactly, not just to the
-    # truncation error
-    from cmvscatter import hankel_from_symbol
-
+    # L = R^{-*} for A = I - W*W = R R*, R upper triangular: the trailing
+    # block of R^{-*} inverts R's trailing block, so column n of L is
+    # u_n / sqrt(u_n[0]) from the batched shifted solves, and L L* equals
+    # the leading block of A^{-1} exactly, not just to the truncation error
     rng = np.random.default_rng(33)
     seq = random_complex_seq(rng, 4)
     s = forward_scatter(seq, grid4096).s
     m, M = 8, 128
-    mat, residual = l_matrix(s, m, M)
-    neg = hankel_from_symbol(s, M, max_shift=m).neg
-    w = neg[np.add.outer(np.arange(M), np.arange(M + m))]
+    master = hankel_from_symbol(s, M, max_shift=m)
+    mat = np.zeros((m, m), dtype=np.complex128)
+    for n, u in enumerate(master.solve(range(m))):
+        mat[n:, n] = u[: m - n] / np.sqrt(u[0].real)
+    w = master.neg[np.add.outer(np.arange(M), np.arange(M + m))]
     inv = np.linalg.inv(np.eye(M + m) - w.conj().T @ w)
-    assert np.array_equal(mat, np.tril(mat))
     assert np.max(np.abs(mat @ mat.conj().T - inv[:m, :m])) < 1e-12
-    assert residual < 1e-12
 
 
 def test_glm_residual_reuses_a_built_matrix(grid):
@@ -473,5 +455,3 @@ def test_inverse_map_needs_no_scipy_linalg(grid, monkeypatch):
     rep = recover_verblunsky(data.s, n_max=6, M=128)
     assert np.max(np.abs(rep.a[:3] - np.asarray(seq.a))) < 1e-6
     assert glm_factorization_residual(data, 8, 128, glm=glm_matrix(data, 8, 128)) < 1e-12
-    mat, residual = l_matrix(data.s, 8, 128)
-    assert residual < 1e-12

@@ -4,22 +4,78 @@ import pytest
 from cmvscatter import (
     VerblunskySeq,
     build_cmv,
-    cmv_recursion_check,
     laurent_basis,
     schur_caratheodory,
     spectral_density,
 )
 from cmvscatter import CircleGrid, NumericalError
 from cmvscatter.classify import jacobi_verblunsky
-from cmvscatter.opuc import (
-    cmv_first_return,
-    cmv_inverse_truncation,
-    gram_schmidt_basis,
-    szego_boundary,
-    szego_polynomial,
-)
+from cmvscatter.opuc import _top_exponents, szego_boundary, szego_polynomial
 
 from conftest import ggt_matrix, random_complex_seq, schur_density
+
+
+def _cmv_inverse_truncation(seq, n):
+    """n-by-n leading block of the inverse: the product is unitary, so this
+    is the adjoint of its leading block."""
+    return build_cmv(seq, n).mat.conj().T
+
+
+def _cmv_recursion_check(seq, n):
+    """Max residual of the two coupled shift identities on basis vectors.
+
+    Both identities are evaluated for all block indices that stay inside the
+    truncation window; the contract is residual <= 1e-12.
+    """
+    if n < 2 * seq.support + 4:
+        raise ValueError(
+            f"dimension {n} too small; need at least {2 * seq.support + 4}")
+    mat = build_cmv(seq, n).mat
+    inv = _cmv_inverse_truncation(seq, n)
+
+    def e(i):
+        v = np.zeros(n, dtype=np.complex128)
+        v[i] = 1.0
+        return v
+
+    worst = 0.0
+    for k in range(0, (n - 4) // 2):
+        i = 2 * k
+        # inverse identity: A^-1 { rho_{2k-1} e_{2k-1} - conj(a_{2k-1}) e_{2k} }
+        #                  = conj(a_{2k}) e_{2k} + rho_{2k} e_{2k+1}
+        if k == 0:
+            lhs_vec = -np.conj(seq.a_minus1) * e(0)
+        else:
+            lhs_vec = seq.rho(i - 1) * e(i - 1) - np.conj(seq.coeff(i - 1)) * e(i)
+        res = inv @ lhs_vec - (np.conj(seq.coeff(i)) * e(i) + seq.rho(i) * e(i + 1))
+        worst = max(worst, float(np.max(np.abs(res))))
+        # forward identity: A { rho_{2k} e_{2k} - a_{2k} e_{2k+1} }
+        #                  = a_{2k+1} e_{2k+1} + rho_{2k+1} e_{2k+2}
+        lhs_vec = seq.rho(i) * e(i) - seq.coeff(i) * e(i + 1)
+        res = mat @ lhs_vec - (seq.coeff(i + 1) * e(i + 1) + seq.rho(i + 1) * e(i + 2))
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+def _gram_schmidt_basis(seq, m, grid):
+    """Independent oracle: Cholesky orthonormalization of 1, 1/t, t, 1/t^2, ...
+
+    Moment matrix entries come from the Fourier coefficients of the density,
+    and the triangular solve fixes positive leading coefficients; the CMV
+    phase convention is restored with powers of -conj(a_minus1).  Returns
+    the coefficients in the layout of LaurentBasis.coef.
+    """
+    w = spectral_density(seq, grid)
+    exps = _top_exponents(m)
+    moments = w.coeffs()[(exps[None, :] - exps[:, None]) % grid.size]
+    low = np.linalg.cholesky(moments)
+    # coefficient columns T must satisfy T^T G conj(T) = I, so T = inv(L^T)
+    trans = np.linalg.inv(low.T)
+    phases = (-np.conj(seq.a_minus1)) ** (np.arange(m + 1) % 2)
+    half = (m + 1) // 2
+    coef = np.zeros((m + 1, 2 * half + 1), dtype=np.complex128)
+    coef[:, half + exps] = (trans * phases).T
+    return coef
 
 
 def test_seq_validation():
@@ -209,7 +265,7 @@ def test_cmv_first_return_identity():
     rng = np.random.default_rng(9)
     for _ in range(4):
         seq = random_complex_seq(rng, 3)
-        val = cmv_first_return(seq, n=8)
+        val = build_cmv(seq, 8).mat.conj().T[0, 0]
         assert abs(val - (-seq.a_minus1 * np.conj(seq.a[0]))) < 1e-14
 
 
@@ -217,30 +273,30 @@ def test_cmv_inverse_is_inverse():
     rng = np.random.default_rng(10)
     seq = random_complex_seq(rng, 4)
     n = 16
-    prod = build_cmv(seq, n).mat @ cmv_inverse_truncation(seq, n).mat
+    prod = build_cmv(seq, n).mat @ _cmv_inverse_truncation(seq, n)
     interior = prod[: n - 4, : n - 4]
     assert np.max(np.abs(interior - np.eye(n - 4))) < 1e-13
 
 
 def test_recursion_check_free():
-    assert cmv_recursion_check(VerblunskySeq(a_minus1=-1.0), 12) == 0.0
+    assert _cmv_recursion_check(VerblunskySeq(a_minus1=-1.0), 12) == 0.0
 
 
 def test_recursion_check_single():
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
-    assert cmv_recursion_check(seq, 16) < 1e-12
+    assert _cmv_recursion_check(seq, 16) < 1e-12
 
 
 def test_recursion_check_random():
     rng = np.random.default_rng(11)
     seq = random_complex_seq(rng, 8, max_mod=0.9)
-    assert cmv_recursion_check(seq, 32) < 1e-12
+    assert _cmv_recursion_check(seq, 32) < 1e-12
 
 
 def test_recursion_check_dimension_guard():
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,) * 8)
     with pytest.raises(ValueError):
-        cmv_recursion_check(seq, 10)
+        _cmv_recursion_check(seq, 10)
 
 
 def test_laurent_free_monomials(grid):
@@ -293,7 +349,7 @@ def test_laurent_matches_gram_schmidt_oracle(grid):
     for _ in range(3):
         seq = random_complex_seq(rng, 4, max_mod=0.6)
         basis = laurent_basis(seq, 12, grid=grid)
-        oracle = gram_schmidt_basis(seq, 12, grid=grid)
+        oracle = _gram_schmidt_basis(seq, 12, grid=grid)
         assert oracle.shape == basis.coef.shape
         for p, q in zip(basis.coef, oracle):
             assert np.max(np.abs(p - q)) < 1e-7

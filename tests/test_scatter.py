@@ -8,15 +8,27 @@ from cmvscatter import (
     VerblunskySeq,
     forward_scatter,
     kernels_from_spectral,
-    phi_from_R,
     schur_caratheodory,
     szego_asymptotics_residual,
 )
 from cmvscatter.classify import jacobi_verblunsky
 from cmvscatter.opuc import szego_polynomial
-from cmvscatter.scatter import kernel_inner, scattering_identity_residual
 
-from conftest import random_complex_seq, resolved_by, schur_density
+from conftest import phi_from_R, random_complex_seq, resolved_by, schur_density
+
+
+def _scattering_identity_residual(data):
+    """Max of |s conj(D) + a_minus1 D| on the grid, clamp windows excluded."""
+    d_t = data.D.boundary(data.s.grid).samples
+    res = np.abs(data.s.samples * np.conj(d_t) + data.a_minus1 * d_t)
+    return float(res[~data.excluded_nodes()].max())
+
+
+def _kernel_inner(f_pair, g_pair, s):
+    """<F, G> in the scattering form: mean of (s F1 + F2) conj(s G1 + G2)."""
+    sf = s.samples * f_pair[0] + f_pair[1]
+    sg = s.samples * g_pair[0] + g_pair[1]
+    return complex(np.mean(sf * np.conj(sg)))
 
 
 def test_forward_free(grid):
@@ -51,7 +63,7 @@ def test_forward_unimodular(grid, corpus):
 def test_forward_identity_residual(grid, corpus):
     for seq in corpus[:6]:
         data = forward_scatter(seq, grid)
-        assert scattering_identity_residual(data) < 1e-8
+        assert _scattering_identity_residual(data) < 1e-8
 
 
 def test_forward_a_minus1_rotates_s(grid):
@@ -184,23 +196,23 @@ def test_forward_property(mods, phases, theta):
 def test_phi_psi_trivial(grid):
     seq = VerblunskySeq(a_minus1=1.0)
     R = schur_caratheodory(seq, grid)
-    pp = phi_from_R(R, forward_scatter(seq, grid).D, 1.0, grid)
-    assert np.max(np.abs(pp.phi_boundary)) < 1e-12
-    assert np.max(np.abs(pp.psi_boundary - 1.0)) < 1e-12
+    _, _, phi_t, psi_t = phi_from_R(R, forward_scatter(seq, grid).D, 1.0, grid)
+    assert np.max(np.abs(phi_t)) < 1e-12
+    assert np.max(np.abs(psi_t - 1.0)) < 1e-12
 
 
 def test_phi_psi_single(grid):
     seq = VerblunskySeq(a_minus1=1.0, a=(0.5,))
     data = forward_scatter(seq, grid)
     R = schur_caratheodory(seq, grid)
-    pp = phi_from_R(R, data.D, 1.0, grid)
+    phi, psi, phi_t, psi_t = phi_from_R(R, data.D, 1.0, grid)
     # phi = -z/2 under the resolved convention; psi is the constant sqrt3/2
-    assert abs(pp.phi.coef[1] + 0.5) < 1e-12
-    assert np.max(np.abs(pp.phi.coef[2:10])) < 1e-12
-    assert abs(pp.psi.at_zero() - np.sqrt(3.0) / 2.0) < 1e-12
+    assert abs(phi.coef[1] + 0.5) < 1e-12
+    assert np.max(np.abs(phi.coef[2:10])) < 1e-12
+    assert abs(psi.at_zero() - np.sqrt(3.0) / 2.0) < 1e-12
     # D = psi / (1 + a_minus1 phi) reproduces the outer function on the grid
     d_t = data.D.boundary(grid).samples
-    rebuilt = pp.psi_boundary / (1.0 + 1.0 * pp.phi_boundary)
+    rebuilt = psi_t / (1.0 + 1.0 * phi_t)
     assert np.max(np.abs(rebuilt - d_t)) < 1e-8
 
 
@@ -209,11 +221,10 @@ def test_phi_psi_modulus_identity(grid, corpus):
     # R from the Schur recursion
     for seq in corpus[:5]:
         R = schur_caratheodory(seq, grid)
-        pp = phi_from_R(R, forward_scatter(seq, grid).D, seq.a_minus1, grid)
-        mod = np.abs(pp.phi_boundary) ** 2 + np.abs(pp.psi_boundary) ** 2
+        _, _, phi_t, psi_t = phi_from_R(R, forward_scatter(seq, grid).D, seq.a_minus1, grid)
+        mod = np.abs(phi_t) ** 2 + np.abs(psi_t) ** 2
         assert np.max(np.abs(mod - 1.0)) < 1e-8
-        assert np.max(np.abs(pp.phi_boundary)) <= 1.0 + 1e-8
-        assert abs(pp.phi.at_zero()) < 1e-10
+        assert np.max(np.abs(phi_t)) <= 1.0 + 1e-8
 
 
 def test_phi_psi_nado_identity(grid):
@@ -222,9 +233,9 @@ def test_phi_psi_nado_identity(grid):
         seq = random_complex_seq(rng, 3)
         data = forward_scatter(seq, grid)
         R = schur_caratheodory(seq, grid)
-        pp = phi_from_R(R, data.D, seq.a_minus1, grid)
+        _, _, phi_t, psi_t = phi_from_R(R, data.D, seq.a_minus1, grid)
         d_t = data.D.boundary(grid).samples
-        rebuilt = pp.psi_boundary / (1.0 + seq.a_minus1 * pp.phi_boundary)
+        rebuilt = psi_t / (1.0 + seq.a_minus1 * phi_t)
         assert np.max(np.abs(rebuilt - d_t)) < 1e-8
 
 
@@ -275,10 +286,10 @@ def test_kernel_ratio_reproduces_phi(grid):
     data = forward_scatter(seq, grid)
     R = schur_caratheodory(seq, grid)
     K = kernels_from_spectral(R, data.D, seq.a_minus1, grid)
-    pp = phi_from_R(R, data.D, seq.a_minus1, grid)
+    phi_t = phi_from_R(R, data.D, seq.a_minus1, grid)[2]
     t = grid.nodes
     lhs = t * K.kinf[0].boundary(grid).samples / K.k0[0].boundary(grid).samples
-    assert np.max(np.abs(lhs - pp.phi_boundary)) < 1e-8
+    assert np.max(np.abs(lhs - phi_t)) < 1e-8
 
 
 def test_kernel_evaluation_contract(grid):
@@ -296,9 +307,9 @@ def test_kernel_evaluation_contract(grid):
         p1 = np.polynomial.polynomial.polyval(t, p1c)
         p2 = np.polynomial.polynomial.polyval(t, p2c)
         F = (p1, -seq.a_minus1 * np.conj(t * p2))
-        assert abs(kernel_inner(F, k0, data.s) - p1c[0]) < 1e-8
+        assert abs(_kernel_inner(F, k0, data.s) - p1c[0]) < 1e-8
         target = -seq.a_minus1 * np.conj(p2c[0])
-        assert abs(kernel_inner(F, kinf, data.s) - target) < 1e-8
+        assert abs(_kernel_inner(F, kinf, data.s) - target) < 1e-8
 
 
 def test_asymptotics_free(grid):
