@@ -7,7 +7,7 @@ class NumericalError(RuntimeError):
 
 class RegularityError(RuntimeError):
     """An operation that requires the one-to-one (regular) regime was asked
-    to run outside it: HankelOp.solve at r = 1 with 1 - sigma_max at or
+    to run outside it: solve_block at r = 1 with 1 - sigma_max at or
     below hankel.REGULAR_GAP, or data that regularity_test rejects."""
 
 

@@ -1,6 +1,6 @@
-"""Truncated Hankel operators of unimodular symbols and the block solves
-behind point evaluation: the outer factor psi_H, the Schur function phi_H,
-and the regularity test that decides the one-to-one regime.
+"""Truncated Hankel operators of unimodular symbols, the one solve behind
+point evaluation and the inverse map, and the regularity test that decides
+the one-to-one regime.
 
 Matrix convention: H[k, j] = shat(-(k+j+1)) for the bases {t^j} of the
 analytic half and {t^(-(k+1))} of the co-analytic half, so H depends only
@@ -13,16 +13,14 @@ and every product with W or W* is an FFT correlation against it, so no
 operator, Gram or factor is formed.  One Lanczos loop on W*W with full
 reorthogonalization serves two readers: the norm, which is cached, and the
 Widom determinant det(I - W*W) = prod(1 - theta_i) over the Ritz values.
-Every solve with I - r^2 W_n* W_n, square (solve_block and the inverse
-map) or shifted (GLM), runs its one conjugate-gradient loop.  At
-r = 1 that loop is the one gate of the one-to-one regime: it refuses, with
-RegularityError, when 1 - ||W|| <= REGULAR_GAP, before any step.  The loop
-takes a sequence of shifts as the independent rows of one block, so all
-the shifts of a caller share each step's FFTs.  By Kronecker's theorem a
-symbol of degree p has a Hankel operator of rank at most p, so CG stops
-after about p - n steps and the determinant's Lanczos after about p.
-aak_boundary turns the r = 1 solve vector into the grid samples of the
-Schur function and its outer companion that the inverse map reads.
+Every solve is solve_block's one conjugate-gradient recurrence for
+(I - r^2 W*W) x = e0.  At r = 1 that loop is the one gate of the one-to-one
+regime: it refuses, with RegularityError, when 1 - ||W|| <= REGULAR_GAP,
+before any step.  By Kronecker's theorem a symbol of degree p has a Hankel
+operator of rank at most p, so CG stops after about p steps and the
+determinant's Lanczos after about p.  aak_boundary turns the r = 1 solve
+vector into the grid samples of the Schur function and its outer companion
+that the inverse map reads.
 """
 
 from __future__ import annotations
@@ -92,8 +90,7 @@ class HankelOp:
     def _corr(self, x, m):
         """(V x)[:m] for V[k, j] = c[k + j], c the coefficients W reads, by
         two FFTs of a length n >= len(c), so no index wraps while
-        m + len(x) - 1 <= len(c).  W x is _corr(x, order).  A block x is
-        taken row by row: the FFTs run along its last axis."""
+        m + len(x) - 1 <= len(c).  W x is _corr(x, order)."""
         if self._spec is None:
             c = np.asarray(self.neg[: self.order + self.cols - 1], dtype=np.complex128)
             n = 1 << (len(c) - 1).bit_length()
@@ -104,9 +101,9 @@ class HankelOp:
         """W*W x, with W* z = conj(W^T conj z) and W^T of the same Hankel structure."""
         return np.conj(self._corr(np.conj(self._corr(x, self.order)), self.cols))
 
-    def apply(self, n, x):
-        """W_n x = W [0_n; x]."""
-        return self._corr(np.concatenate((np.zeros(n), x)), self.order)
+    def apply(self, x):
+        """W x."""
+        return self._corr(x, self.order)
 
     def _lanczos(self, steps, floor=0.0):
         """Lanczos on W*W with full reorthogonalization from a fixed seeded
@@ -209,85 +206,6 @@ class HankelOp:
         sign, logdet = np.linalg.slogdet(np.eye(self.cols) - w.conj().T @ w)
         return float(sign.real * np.exp(logdet)) if sign != 0 else 0.0
 
-    def solve(self, shifts=0, rhs=None, r=1.0):
-        """x_n = (I - r^2 W_n* W_n)^{-1} rhs_n by conjugate gradients from 0,
-        for one shift n or a sequence of them; each rhs_n defaults to e0,
-        which gives u_n.  One shift returns one vector, a sequence returns
-        one vector per shift, given as a sequence of right-hand sides or
-        None each.
-
-        The shifts run as the independent rows of one (shifts x cols)
-        block, batched for speed, not block CG: row n is zero in columns
-        below n, so W_n x = W [0_n; x] and W_n* z = (W* z)[n:] hold row by
-        row, and each step applies W*W to the active rows at once by FFTs
-        along the last axis.  Each row has its own step sizes and leaves
-        the active set when its recurrence residual reaches
-        1e-15 max(||rhs_n||, 1) or after cols - n steps.  A step with
-        p*Ap <= 0 in any row raises NumericalError, and so does a true
-        residual ||A x - rhs||, recomputed with the same operator, above
-        1e-10 max(||rhs_n||, 1) / (1 - (r sigma)^2) in any row, where
-        sigma = ||W|| bounds every ||W_n||.
-
-        At r = 1 the cached sigma gates the one-to-one regime before any
-        step: 1 - sigma <= REGULAR_GAP raises RegularityError.
-        """
-        sigma = self.sigma_max()
-        if r == 1.0 and 1.0 - sigma <= REGULAR_GAP:
-            raise RegularityError(
-                f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")
-        single = np.ndim(shifts) == 0
-        if single:
-            shifts, rhs = [shifts], [rhs]
-        elif rhs is None:
-            rhs = [None] * len(shifts)
-        shifts = np.array(shifts, dtype=np.int64)
-        cols = self.cols
-        mask = np.arange(cols) >= shifts[:, None]
-        b = np.zeros((len(shifts), cols), dtype=np.complex128)
-        for row, n, v in zip(b, shifts, rhs):
-            if v is None:
-                row[n] = 1.0
-            else:
-                row[n:] = v
-
-        def system(v, rows):
-            return v - (r * r) * (mask[rows] * self._gram(v))
-
-        scale = np.maximum(np.linalg.norm(b, axis=1), 1.0)
-        steps = cols - shifts
-        x = np.zeros_like(b)
-        res = b.copy()
-        p = b.copy()
-        rs = np.sum(np.abs(res) ** 2, axis=1)
-        for step in range(cols):
-            # once a row stops its rs is frozen, so it never rejoins
-            act = np.flatnonzero((np.sqrt(rs) > 1e-15 * scale) & (step < steps))
-            if not len(act):
-                break
-            pa = p[act]
-            ap = system(pa, act)
-            curvature = np.sum(np.conj(pa) * ap, axis=1).real
-            if not np.all(curvature > 0.0):
-                raise NumericalError(
-                    "block system is not positive definite "
-                    f"(p*Ap = {curvature.min():.3e})")
-            alpha = rs[act] / curvature
-            x[act] += alpha[:, None] * pa
-            ra = res[act] - alpha[:, None] * ap
-            rs_next = np.sum(np.abs(ra) ** 2, axis=1)
-            res[act] = ra
-            p[act] = ra + (rs_next / rs[act])[:, None] * pa
-            rs[act] = rs_next
-        resid = np.linalg.norm(system(x, slice(None)) - b, axis=1)
-        bound = 1e-10 * scale / max(1.0 - (r * sigma) ** 2, 1e-300)
-        if np.any(resid > bound):
-            worst = int(np.argmax(resid / bound))
-            raise NumericalError(
-                f"block solve residual {resid[worst]:.3e} exceeds 1e-10 * condition "
-                f"estimate (shift {shifts[worst]})")
-        out = [row[n:] for row, n in zip(x, shifts)]
-        return out[0] if single else out
-
 
 def hankel_from_symbol(s, M, max_shift=0):
     """The M x (M + max_shift) master of a circle function's negative
@@ -306,16 +224,52 @@ def hankel_from_symbol(s, M, max_shift=0):
 
 
 def solve_block(h, r=1.0):
-    """(I - r^2 H*H)^{-1} 1 by conjugate gradients.
+    """x = (I - r^2 H*H)^{-1} e0 by conjugate gradients from 0.
 
-    This is h.solve, whose condition estimate is 1/(1 - (r sigma_max)^2)
-    and which refuses r = 1 outside the one-to-one regime.  The co-analytic
-    solve (I - r^2 HH*)^{-1} t-bar is the conjugate of this vector, since
+    The loop stops when its recurrence residual reaches 1e-15 or after cols
+    steps.  A step with p*Ap <= 0 raises NumericalError, and so does a true
+    residual ||A x - e0||, recomputed with the same operator, above
+    1e-10 / (1 - (r sigma)^2), with sigma = ||H|| cached.  At r = 1 that
+    sigma gates the one-to-one regime before any step: 1 - sigma <=
+    REGULAR_GAP raises RegularityError.  The co-analytic solve
+    (I - r^2 HH*)^{-1} t-bar is the conjugate of x, since
     I - r^2 HH* = conj(I - r^2 H*H) for complex symmetric H.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {r}")
-    return h.solve(0, r=r)
+    sigma = h.sigma_max()
+    if r == 1.0 and 1.0 - sigma <= REGULAR_GAP:
+        raise RegularityError(
+            f"sigma_max = {sigma:.9g}: scattering data is not in the one-to-one regime")
+    b = np.zeros(h.cols, dtype=np.complex128)
+    b[0] = 1.0
+
+    def system(v):
+        return v - (r * r) * h._gram(v)
+
+    x = np.zeros_like(b)
+    res = b.copy()
+    p = b.copy()
+    rs = np.sum(np.abs(res) ** 2)
+    for _ in range(h.cols):
+        if not np.sqrt(rs) > 1e-15:
+            break
+        ap = system(p)
+        curvature = np.sum(np.conj(p) * ap).real
+        if not curvature > 0.0:
+            raise NumericalError(
+                f"block system is not positive definite (p*Ap = {curvature:.3e})")
+        alpha = rs / curvature
+        x += alpha * p
+        res = res - alpha * ap
+        rs_next = np.sum(np.abs(res) ** 2)
+        p = res + (rs_next / rs) * p
+        rs = rs_next
+    resid = np.linalg.norm(system(x) - b)
+    if resid > 1e-10 / max(1.0 - (r * sigma) ** 2, 1e-300):
+        raise NumericalError(
+            f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
+    return x
 
 
 def aak_boundary(h, g, grid):
@@ -325,7 +279,7 @@ def aak_boundary(h, g, grid):
     is the co-analytic solve vector), f = q/g is the Schur function with
     phi_H = t f, and psi_H = sqrt(g[0])/g its outer companion.
     """
-    q = -np.conj(h.apply(0, g))
+    q = -np.conj(h.apply(g))
     q_t, g_t = (DiskFunction(v).boundary(grid).samples for v in (q, g))
     return q_t / g_t, np.sqrt(g[0].real) / g_t
 

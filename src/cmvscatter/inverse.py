@@ -22,11 +22,17 @@ log and clamps nothing.  One forward map of the recovered sequence then
 audits the result: the spread of -s conj(D)/D, which is the constant a_{-1}
 in the regular regime, and the distance to the input samples.
 
-The GLM transform takes its columns from one batched call of shifted
-solves on a wide master W, whose column blocks W_n = W[:, n:] are
-the Hankel operators of t^n s.  The GLM factorization residual checks them
-against a dense reference that shares nothing with CG: the inverse of
-[[I, H*], [H, I]], read from its order-M Schur complement I - H*H.
+The GLM transform reads its columns off the same solve.  The Hankel
+operator of t^n s is the n-th Schur step of the pair (g, q): with
+G_0 = g, F_0 = q and b_n = F_n[0]/G_n[0],
+
+    G_{n+1} = G_n - conj(b_n) F_n,    F_{n+1} = (F_n - b_n G_n) / t,
+
+G_n is (I - W_n* W_n)^{-1} e0 and -F_n is (I - W_n* W_n)^{-1} conj(W[0, n:])
+up to the truncation at order M, so the m columns cost O(mM) after the one
+CG solve.  The GLM factorization residual checks them against a dense
+reference that shares nothing with CG: the inverse of [[I, H*], [H, I]],
+read from its order-M Schur complement I - H*H.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, RegularityError
-from .hankel import aak_boundary, hankel_from_symbol, regularity_test
+from .hankel import aak_boundary, hankel_from_symbol, regularity_test, solve_block
 from .opuc import VerblunskySeq
 from .scatter import forward_scatter
 
@@ -69,7 +75,7 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     t = grid.nodes
     master = hankel_from_symbol(s, M)
     warnings = []
-    f, psi_t = aak_boundary(master, master.solve(0), grid)
+    f, psi_t = aak_boundary(master, solve_block(master), grid)
     phi_t = t * f
     b = np.empty(n_max + 1, dtype=np.complex128)
     for k in range(n_max + 1):
@@ -127,41 +133,54 @@ class GlmMatrix:
 
 
 def _check_glm_order(m, M):
-    # the odd rows of the GLM block read W_n vectors, which have M entries
+    # column n reads (m - n + 1) // 2 entries of G_n or F_n, which have M
     if M < (m + 1) // 2:
         raise ValueError(f"a GLM block of order {m} needs Hankel order >= {(m + 1) // 2}, "
                          f"got {M}")
+
+
+def _schur_pairs(g, q, m):
+    """(G_n, F_n) for n < m: Schur's algorithm on the coefficient vectors of
+    the pair (g, q), f_n = F_n/G_n.  Division by t drops the entry 0, which
+    the step zeroes, and fills the last entry with 0."""
+    for _ in range(m):
+        yield g, q
+        b = q[0] / g[0]
+        g, q = g - np.conj(b) * q, np.append((q - b * g)[1:], 0.0)
 
 
 def glm_matrix(data, m, M, check_regular=True):
     """Columns of the GLM transform of the ScatteringData `data` in the
     alternating monomial basis.
 
-    Column n comes from the n-shift of the master, with A_n = I - W_n* W_n:
-    rows n, n+2, ... hold u = A_n^{-1} e0 (even n) or v = e0 - W_n q
-    (odd n), rows n+1, n+3, ... hold -W_n u or q = -A_n^{-1} conj(W[0, n:]);
-    all m solves run as one batched CG call.  Odd columns carry the -a_{-1}
-    phase.  The diagonal is rho_0...rho_{n-1}/D(0) up to that phase.
-    Raises ValueError when M < (m + 1) // 2, too short for the block.
+    One r = 1 solve on the square order-M operator H gives g and
+    q = -conj(H g), and column n reads the n-th Schur step (G_n, F_n) of
+    that pair: rows n, n+2, ... hold G_n (even n) or conj(G_n) (odd n),
+    rows n+1, n+3, ... hold conj(F_n) or F_n, scaled by 1/sqrt(G_n[0]).
+    Odd columns carry the -a_{-1} phase.  The diagonal is
+    rho_0...rho_{n-1}/D(0) up to that phase.
+    Raises ValueError when M < (m + 1) // 2, too short for the block, and
+    NumericalError when a G_n[0] is not positive, which a truncation far
+    below the rank of the symbol's Hankel operator can give.
     """
     _check_glm_order(m, M)
     if check_regular:
         rep = regularity_test(s=data.s, d0=data.d0, M=M)
         if not rep.regular:
             raise RegularityError(f"GLM transform needs the regular regime: {rep.reason}")
-    master = hankel_from_symbol(data.s, M, max_shift=m)
-    rhs = [None if n % 2 == 0 else np.conj(master.neg[n: master.cols]) for n in range(m)]
+    h = hankel_from_symbol(data.s, M)
+    g = solve_block(h)
     out = np.zeros((m, m), dtype=np.complex128)
-    for n, x in enumerate(master.solve(range(m), rhs)):
+    for n, (big_g, f) in enumerate(_schur_pairs(g, -np.conj(h.apply(g)), m)):
+        if not big_g[0].real > 0.0:  # a NaN is refused too
+            raise NumericalError(
+                f"GLM column {n} reads G_n[0] = {big_g[0].real:.3e}: "
+                f"Hankel order {M} is too short for this symbol")
+        root = np.sqrt(big_g[0].real)
         if n % 2 == 0:
-            first = x
-            second = -master.apply(n, first)
-            scale = 1.0 / np.sqrt(first[0].real)
+            first, second, scale = big_g, np.conj(f), 1.0 / root
         else:
-            second = -x
-            first = -master.apply(n, second)
-            first[0] += 1.0
-            scale = -data.a_minus1 / np.sqrt(first[0].real)
+            first, second, scale = np.conj(big_g), f, -data.a_minus1 / root
         out[n::2, n] = scale * first[: (m - n + 1) // 2]
         out[n + 1::2, n] = scale * second[: (m - n) // 2]
     return GlmMatrix(out)

@@ -82,8 +82,9 @@ class KernelPair:
     kinf: tuple
 
     def verbk_ratio(self):
-        """First-component ratio at the origin; the inverse map reads the
-        first coefficient off this quantity."""
+        """First-component ratio at the origin, conj(a_0) for the kernels of
+        a sequence (AC5).  The inverse map does not read it: it takes the
+        coefficients off one Hankel solve."""
         return self.kinf[0].at_zero() / self.k0[0].at_zero()
 
 

@@ -46,6 +46,17 @@ def random_complex_seq(rng, m, max_mod=0.7):
     return VerblunskySeq(a_minus1=am1, a=tuple(mod * np.exp(1j * phase)))
 
 
+def schur_pairs(s, M, m):
+    """The first m pairs (G_n, F_n) of the GLM recurrence on the one r = 1
+    solve of the square order-M operator of s."""
+    from cmvscatter.hankel import hankel_from_symbol, solve_block
+    from cmvscatter.inverse import _schur_pairs
+
+    h = hankel_from_symbol(s, M)
+    g = solve_block(h)
+    return list(_schur_pairs(g, -np.conj(h.apply(g)), m))
+
+
 def ggt_matrix(a):
     """The m x m GGT matrix of a_0..a_{m-1}: its eigenvalues are the zeros of
     the monic orthogonal polynomial of degree m, and their reflections

@@ -14,10 +14,10 @@ from cmvscatter import (
     recover_verblunsky,
 )
 from cmvscatter.classify import jacobi_verblunsky
-from cmvscatter.hankel import aak_boundary, hankel_from_symbol
+from cmvscatter.hankel import aak_boundary, hankel_from_symbol, solve_block
 from cmvscatter.opuc import schur_function
 
-from conftest import random_complex_seq, resolved_by
+from conftest import random_complex_seq, resolved_by, schur_pairs
 
 
 def test_recover_free(grid4096):
@@ -90,13 +90,17 @@ def test_recovery_forward_maps_once(grid4096, monkeypatch):
 
 def _ladder(s, n_max, M):
     """(rho, b) from the u_n[0] ladder of n_max + 2 shifted solves
-    u_n = (I - W_n* W_n)^{-1} e0 on the M x (M + n_max + 2) master:
+    u_n = (I - W_n* W_n)^{-1} e0 on the M x (M + n_max + 2) master, each a
+    dense solve of a trailing block of I - W*W:
     rho_n = sqrt(u_{n+1}[0] / u_n[0]) and b_n = -conj(u_n . W[0, n:]) / u_n[0],
-    a reference that shares only the CG loop with the Schur recursion."""
+    a reference that shares only the coefficients with the Schur recursion."""
     master = hankel_from_symbol(s, M, max_shift=n_max + 2)
-    u = master.solve(range(n_max + 2))
+    w = master.neg[np.add.outer(np.arange(M), np.arange(master.cols))]
+    a = np.eye(master.cols) - w.conj().T @ w
+    u = [np.linalg.solve(a[n:, n:], np.eye(master.cols - n, 1)[:, 0])
+         for n in range(n_max + 2)]
     u0 = np.array([x[0].real for x in u])
-    row = master.neg[: master.cols]
+    row = w[0]
     b = np.array([-np.conj(x @ row[n:]) / u0[n] for n, x in enumerate(u[:-1])])
     return np.sqrt(u0[1:] / u0[:-1]), b
 
@@ -137,7 +141,7 @@ def test_schur_parameters_match_the_ladder(grid4096, mods, phases, theta):
     # are the twisted coefficients the shifted ladder reads, and t f is the
     # Schur function of those parameters times t; complex coefficients and
     # a general unimodular a_minus1 on grids that resolve 1/Phi (worst over
-    # these draws: 3.5e-16 for b, 2.2e-16 for rho and 2.5e-15 for phi)
+    # these draws: 3.2e-16 for b, 2.2e-16 for rho and 2.5e-15 for phi)
     seq = VerblunskySeq(a_minus1=np.exp(1j * theta),
                         a=tuple(m * np.exp(1j * p) for m, p in zip(mods, phases)))
     assume(resolved_by(grid4096, seq.a))
@@ -149,7 +153,7 @@ def test_schur_parameters_match_the_ladder(grid4096, mods, phases, theta):
     assert np.max(np.abs(b - ladder_b)) <= 2e-15
     assert np.max(np.abs(rep.rho - rho)) <= 2e-15
     h = hankel_from_symbol(s, M)
-    f, _ = aak_boundary(h, h.solve(0), grid4096)
+    f, _ = aak_boundary(h, solve_block(h), grid4096)
     t = grid4096.nodes
     assert np.max(np.abs(t * f - t * schur_function(b, t))) <= 1e-14
 
@@ -200,10 +204,10 @@ def test_recovery_residual_tracks_regularity(grid4096, corpus):
 def test_recover_near_the_gate():
     # the s of jacobi(2.4, 0, 400) at M = 512 has 1 - sigma_max = 1.2e-8,
     # just outside REGULAR_GAP, so I - H*H has condition about 4e7.  The
-    # Schur parameters match the true ones within 3.1e-9 and the shifted
-    # ladder within 8.7e-10 (the ladder itself is 2.7e-9 off the true
-    # ones), and the recursion's rounding, against long double on the same
-    # samples, is 2.5e-15
+    # Schur parameters match the true ones within 3.1e-9 and the dense
+    # shifted ladder within 2.2e-9 (the ladder itself is 9.8e-10 off the
+    # true ones), and the recursion's rounding, against long double on the
+    # same samples, is 2.5e-15
     seq = jacobi_verblunsky(2.4, 0.0, 400)
     grid = CircleGrid(16384)
     s = forward_scatter(seq, grid).s
@@ -216,7 +220,7 @@ def test_recover_near_the_gate():
     rho, ladder_b = _ladder(s, n_max, M)
     assert np.max(np.abs(b - ladder_b)) <= 5e-9
     assert np.max(np.abs(rep.rho - rho)) <= 5e-9
-    f, _ = aak_boundary(h, h.solve(0), grid)
+    f, _ = aak_boundary(h, solve_block(h), grid)
     assert np.max(np.abs(b - _schur_longdouble(f, grid.nodes, n_max + 1))) <= 1e-13
 
 
@@ -234,7 +238,7 @@ def test_recover_with_clamped_nodes():
         recover_verblunsky(data.s, n_max=16, M=512)
     rep = recover_verblunsky(data.s, n_max=16, M=256)
     h = hankel_from_symbol(data.s, 256)
-    f, _ = aak_boundary(h, h.solve(0), grid)
+    f, _ = aak_boundary(h, solve_block(h), grid)
     assert np.max(np.abs(f)) > 1.0
     b = -np.conj(rep.a_minus1) * rep.a
     assert np.max(np.abs(b - _schur_longdouble(f, grid.nodes, 17))) <= 1e-15
@@ -243,8 +247,8 @@ def test_recover_with_clamped_nodes():
 
 def test_recovery_evaluates_no_szego_pair(grid4096, monkeypatch):
     # phi and psi come from the one r = 1 solve, so recovery makes one
-    # HankelOp.solve call, on shift 0, and evaluates one Szego polynomial:
-    # the audit's forward map of its n_max + 1 coefficients
+    # solve_block call, on the square order-M operator, and evaluates one
+    # Szego polynomial: the audit's forward map of its n_max + 1 coefficients
     from cmvscatter import hankel, inverse, opuc, scatter
 
     seq = random_complex_seq(np.random.default_rng(36), 5)
@@ -253,12 +257,11 @@ def test_recovery_evaluates_no_szego_pair(grid4096, monkeypatch):
     monkeypatch.setattr(scatter, "szego_boundary",
                         lambda a, g: calls.append(len(a)) or opuc.szego_boundary(a, g))
     solves = []
-    solve = hankel.HankelOp.solve
-    monkeypatch.setattr(hankel.HankelOp, "solve",
-                        lambda self, *a, **k: solves.append(a) or solve(self, *a, **k))
+    monkeypatch.setattr(inverse, "solve_block",
+                        lambda h: solves.append((h.order, h.cols)) or hankel.solve_block(h))
     rep = recover_verblunsky(s, n_max=8, M=256)
     assert calls == [9]
-    assert solves == [(0,)]
+    assert solves == [(256, 256)]
     assert np.max(np.abs(rep.a[:5] - np.asarray(seq.a))) < 1e-12
     assert not hasattr(inverse, "szego_boundary")
 
@@ -338,6 +341,17 @@ def test_glm_refuses_a_block_longer_than_its_vectors(grid):
     assert glm_matrix(data, 15, 8).mat.shape == (15, 15)
 
 
+def test_glm_refuses_a_truncation_that_leaves_the_schur_class(grid):
+    # a support-6 symbol is regular at order 8, but its square order-4
+    # truncation drives G_6[0] below 0, where a column would read NaN
+    from cmvscatter import NumericalError
+
+    data = forward_scatter(random_complex_seq(np.random.default_rng(42), 6), grid)
+    with pytest.raises(NumericalError, match="too short"):
+        glm_matrix(data, 8, 4)
+    assert np.all(np.isfinite(glm_matrix(data, 8, 8).mat))
+
+
 def _dense_glm_reference(h, m):
     """The GLM rows and columns of the dense 2M x 2M inverse of [[I, H*], [H, I]]."""
     M = len(h)
@@ -380,13 +394,12 @@ def test_glm_requires_regular():
 
 
 def test_l_matrix_diag_is_rho_tail_product(grid):
-    # the GLM's even solves u_n = (I - W_n* W_n)^{-1} e0 have
+    # the recurrence's G_n = u_n = (I - W_n* W_n)^{-1} e0 have
     # u_n[0] = 1/prod(rho[n:])^2, so L^n_n = sqrt(u_n[0]) for A^{-1} = L L*
     rng = np.random.default_rng(28)
     seq = random_complex_seq(rng, 4)
-    solves = hankel_from_symbol(forward_scatter(seq, grid).s, 128, max_shift=8).solve(range(8))
     rho = seq.rho()
-    for n, u in enumerate(solves):
+    for n, (u, _) in enumerate(schur_pairs(forward_scatter(seq, grid).s, 128, 8)):
         tail = float(np.prod(rho[n:])) if n < len(rho) else 1.0
         assert abs(u[0].real - 1.0 / tail ** 2) < 1e-6
 
@@ -394,17 +407,17 @@ def test_l_matrix_diag_is_rho_tail_product(grid):
 def test_l_matrix_factors_the_master_inverse(grid4096):
     # L = R^{-*} for A = I - W*W = R R*, R upper triangular: the trailing
     # block of R^{-*} inverts R's trailing block, so column n of L is
-    # u_n / sqrt(u_n[0]) from the batched shifted solves, and L L* equals
-    # the leading block of A^{-1} exactly, not just to the truncation error
+    # u_n / sqrt(u_n[0]) with u_n = G_n from the recurrence on the square
+    # solve, and L L* equals the leading block of the wide master's A^{-1}
+    # to rounding, since this symbol's coefficients decay far inside M
     rng = np.random.default_rng(33)
     seq = random_complex_seq(rng, 4)
     s = forward_scatter(seq, grid4096).s
     m, M = 8, 128
-    master = hankel_from_symbol(s, M, max_shift=m)
     mat = np.zeros((m, m), dtype=np.complex128)
-    for n, u in enumerate(master.solve(range(m))):
+    for n, (u, _) in enumerate(schur_pairs(s, M, m)):
         mat[n:, n] = u[: m - n] / np.sqrt(u[0].real)
-    w = master.neg[np.add.outer(np.arange(M), np.arange(M + m))]
+    w = hankel_from_symbol(s, M, max_shift=m).neg[np.add.outer(np.arange(M), np.arange(M + m))]
     inv = np.linalg.inv(np.eye(M + m) - w.conj().T @ w)
     assert np.max(np.abs(mat @ mat.conj().T - inv[:m, :m])) < 1e-12
 
@@ -420,8 +433,8 @@ def test_glm_residual_reuses_a_built_matrix(grid):
 
 def test_glm_odd_columns_match_dense_solves(grid4096):
     # complex coefficients and a random unimodular a_minus1: each odd column
-    # takes one more CG solve with right-hand side conj(W[0, n:]), checked
-    # against dense solves of the trailing Gram block of the master
+    # reads F_n, the solve with right-hand side -conj(W[0, n:]), checked
+    # against dense solves of the trailing Gram block of the wide master
     from cmvscatter import hankel_from_symbol
 
     rng = np.random.default_rng(34)
@@ -439,6 +452,22 @@ def test_glm_odd_columns_match_dense_solves(grid4096):
         scale = -seq.a_minus1 / np.sqrt(v[0].real)
         assert np.max(np.abs(glm.mat[n::2, n] - scale * v[: (m - n + 1) // 2])) < 1e-12
         assert np.max(np.abs(glm.mat[n + 1::2, n] - scale * q[: (m - n) // 2]), initial=0.0) < 1e-12
+
+
+def test_glm_makes_one_square_solve(grid, monkeypatch):
+    # every column comes from the one r = 1 solve on the square order-M
+    # operator; nothing builds a wide master or solves a shifted system
+    from cmvscatter import hankel, inverse
+
+    data = forward_scatter(random_complex_seq(np.random.default_rng(37), 4), grid)
+    built, solves = [], []
+    monkeypatch.setattr(inverse, "hankel_from_symbol",
+                        lambda *a, **k: built.append(hankel.hankel_from_symbol(*a, **k)) or built[-1])
+    monkeypatch.setattr(inverse, "solve_block",
+                        lambda h: solves.append(h) or hankel.solve_block(h))
+    glm_matrix(data, 16, 128, check_regular=False)
+    assert [(h.order, h.cols) for h in built] == [(128, 128)]
+    assert solves == built
 
 
 def test_inverse_map_needs_no_scipy_linalg(grid, monkeypatch):
