@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import types
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +47,19 @@ class CircleGrid:
     """Uniform grid of the N-th roots of unity, counterclockwise."""
 
     size: int
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 16 or not _is_power_of_two(self.size):
             raise ValueError(f"grid size must be a power of two >= 16, got {self.size}")
+
+    @functools.cached_property
+    def nodes(self):
+        """The nodes t_j, computed on first read and kept: a command that
+        works on coefficients alone never computes them."""
         j = np.arange(self.size)
         nodes = np.exp(2j * np.pi * j / self.size)
         nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        return nodes
 
     @property
     def thetas(self):
@@ -457,32 +462,43 @@ def config_comment(config):
 def read_circle_csv(path):
     """Read a CircleFunction written by write_circle_csv.
 
+    The header block ('#' lines, blank lines and the "index,theta,re,im"
+    line) comes before the rows; after it, '#' comments and blank lines
+    are skipped and any other line is a row.  The rows stream from the open
+    file into one np.loadtxt call, so no list of row strings is built.
+
     Returns (function, config dict); unknown grid sizes, rows without
     exactly four numeric fields, an index column that does not list 0..N-1
     exactly once, thetas off their grid nodes by more than 1e-12 and
     non-finite samples raise ValueError.
     """
-    config, rows = {}, []
+    config = {}
+    four_fields = "CSV rows must have the four fields index,theta,re,im"
     with open(path) as fh:
         for line in map(str.strip, fh):
-            if not line.startswith(("#", "index,")):
-                if line:
-                    rows.append(line)
-            elif line.startswith("# config:"):
+            if line.startswith("# config:"):
                 for item in line[len("# config:"):].split(","):
                     if "=" in item:
                         k, v = item.split("=", 1)
                         config[k.strip()] = v.strip()
-    n = len(rows)
+            elif line and not line.startswith(("#", "index,")):
+                break
+        else:
+            raise ValueError("CSV has 0 rows; expected a power of two >= 16")
+        # np.loadtxt skips empty lines but reads one of spaces as a row
+        rows = itertools.chain([line], (row for row in fh if not row.isspace()))
+        try:
+            vals = np.loadtxt(rows, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            # a second pass, on the error path only, tells the two causes apart
+            fh.seek(0)
+            fields = (row.split("#", 1)[0] for row in fh)
+            if any(row.count(",") != 3 for row in fields if row.strip()):
+                raise ValueError(four_fields) from exc
+            raise ValueError(f"CSV field is not a number: {exc}") from exc
+    n = len(vals)
     if not _is_power_of_two(n) or n < 16:
         raise ValueError(f"CSV has {n} rows; expected a power of two >= 16")
-    four_fields = "CSV rows must have the four fields index,theta,re,im"
-    try:
-        vals = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        if any(row.count(",") != 3 for row in rows):
-            raise ValueError(four_fields) from exc
-        raise ValueError(f"CSV field is not a number: {exc}") from exc
     if vals.shape[1] != 4:
         raise ValueError(four_fields)
     if not np.array_equal(np.sort(vals[:, 0]), np.arange(n)):

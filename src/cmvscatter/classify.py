@@ -26,7 +26,9 @@ WINDOW_GROWTH_LIMIT = 0.10
 MIN_WINDOW_SUPPORT = 16
 
 #: Columns of the GLM block behind `glm_column_norm`, built at Hankel order
-#: min(M, 128); it fits when that order is at least (GLM_COLUMNS + 1) // 2.
+#: min(M, 128) when that order is at least GLM_COLUMNS: column n reads the
+#: n-th Schur step of order-M vectors, and from n = M on that step depends
+#: on the zeros filled in past the truncation.
 GLM_COLUMNS = 16
 
 
@@ -97,9 +99,8 @@ def a2_constant(w):
     best = 0.0
     length = n // 2
     while length >= 8:
-        i = np.arange(n)
-        mean_w = (cw[i + length] - cw[i]) / length
-        mean_v = (cv[i + length] - cv[i]) / length
+        mean_w = (cw[length:length + n] - cw[:n]) / length
+        mean_v = (cv[length:length + n] - cv[:n]) / length
         best = max(best, float(np.max(mean_w * mean_v)))
         length //= 2
     return best
@@ -211,7 +212,7 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
 
     glm_column_norm = None
     glm_order = min(M, 128)
-    if hs_member and seq is not None and glm_order >= (GLM_COLUMNS + 1) // 2:
+    if hs_member and seq is not None and glm_order >= GLM_COLUMNS:
         try:
             # regularity was decided above at order M; glm_matrix need not redo it
             glm = glm_matrix(data, GLM_COLUMNS, glm_order, check_regular=False)

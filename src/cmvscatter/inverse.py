@@ -5,13 +5,18 @@ order-M Hankel operator H of s (AAK): g = (I - H*H)^{-1} 1, whose r = 1
 gate on the norm of H refuses data outside the one-to-one regime.  With
 q = -conj(H g), f = q/g is a Schur function and phi = t f, psi = sqrt(g[0])/g
 is its outer companion (hankel.aak_boundary).  By Geronimus' theorem the
-Schur parameters of f are the twisted coefficients
-b_n = -conj(a_{-1}) a_n, so Schur's algorithm, run pointwise on the grid
-samples, reads them off one after another:
+Schur parameters of f are the twisted coefficients b_n = -conj(a_{-1}) a_n.
+Schur's algorithm reads them off one after another, run on the coefficient
+vectors of the pair (g, q) rather than on grid samples: with G_0 = g,
+F_0 = q and f_n = F_n/G_n,
 
-    b_k = mean(f_k),    f_{k+1} = (f_k - b_k) / (t (1 - conj(b_k) f_k)),
+    b_n = F_n[0]/G_n[0],    G_{n+1} = G_n - conj(b_n) F_n,
+    F_{n+1} = (F_n - b_n G_n) / t,
 
-and rho_n = sqrt(1 - |b_n|^2).  The unimodular a_{-1} is not visible to the
+which is the pointwise step f_{n+1} = (f_n - b_n)/(t (1 - conj(b_n) f_n))
+with numerator and denominator kept apart.  On length-M vectors the n_max + 1
+steps cost O(n_max M), against O(n_max N) on the N grid samples, and
+rho_n = sqrt(1 - |b_n|^2).  The unimodular a_{-1} is not visible to the
 Hankel operator (it only sees negative coefficients), so it is read off the
 full scattering samples by the pointwise identity
 
@@ -22,12 +27,8 @@ log and clamps nothing.  One forward map of the recovered sequence then
 audits the result: the spread of -s conj(D)/D, which is the constant a_{-1}
 in the regular regime, and the distance to the input samples.
 
-The GLM transform reads its columns off the same solve.  The Hankel
-operator of t^n s is the n-th Schur step of the pair (g, q): with
-G_0 = g, F_0 = q and b_n = F_n[0]/G_n[0],
-
-    G_{n+1} = G_n - conj(b_n) F_n,    F_{n+1} = (F_n - b_n G_n) / t,
-
+The GLM transform reads its columns off the same recurrence.  The Hankel
+operator of t^n s is the n-th Schur step of the pair (g, q):
 G_n is (I - W_n* W_n)^{-1} e0 and -F_n is (I - W_n* W_n)^{-1} conj(W[0, n:])
 up to the truncation at order M, so the m columns cost O(mM) after the one
 CG solve.  The GLM factorization residual checks them against a dense
@@ -59,9 +60,20 @@ class RecoveryReport:
     warnings: list = field(default_factory=list)
 
 
+def _schur_pairs(g, q, m):
+    """(G_n, F_n) for n < m: Schur's algorithm on the coefficient vectors of
+    the pair (g, q), f_n = F_n/G_n.  Division by t drops the entry 0, which
+    the step zeroes, and fills the last entry with 0."""
+    for _ in range(m):
+        yield g, q
+        b = q[0] / g[0]
+        g, q = g - np.conj(b) * q, np.append((q - b * g)[1:], 0.0)
+
+
 def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     """Recover a_0..a_{n_max}, rho_n = sqrt(1 - |a_n|^2) and a_{-1} from
-    samples of s, by Schur's algorithm on the f of one order-M solve.
+    samples of s, by Schur's algorithm on the coefficients of the pair
+    (g, q) of one order-M solve.
 
     Raises RegularityError when that solve refuses r = 1 (outside the
     one-to-one regime), and NumericalError when a Schur parameter reaches
@@ -72,19 +84,19 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     if M < n_max + 64:
         raise ValueError(f"Hankel order {M} too small for n_max {n_max}; need >= {n_max + 64}")
     grid = s.grid
-    t = grid.nodes
     master = hankel_from_symbol(s, M)
     warnings = []
-    f, psi_t = aak_boundary(master, solve_block(master), grid)
-    phi_t = t * f
+    g = solve_block(master)
     b = np.empty(n_max + 1, dtype=np.complex128)
-    for k in range(n_max + 1):
-        b[k] = np.mean(f)
+    for k, (big_g, big_f) in enumerate(_schur_pairs(g, -np.conj(master.apply(g)), n_max + 1)):
+        b[k] = big_f[0] / big_g[0]
         if not abs(b[k]) < 1.0 - 1e-12:  # a NaN is refused too
             raise NumericalError(
                 f"recovered coefficient modulus reached {abs(b[k]):.9g}; solver failed")
-        f = (f - b[k]) / (t * (1.0 - np.conj(b[k]) * f))
     rho = np.sqrt(1.0 - np.abs(b) ** 2)
+
+    f, psi_t = aak_boundary(master, g, grid)
+    phi_t = grid.nodes * f
 
     num = -(s.samples * np.conj(psi_t) + psi_t * np.conj(phi_t))
     den = s.samples * phi_t * np.conj(psi_t) + psi_t
@@ -137,16 +149,6 @@ def _check_glm_order(m, M):
     if M < (m + 1) // 2:
         raise ValueError(f"a GLM block of order {m} needs Hankel order >= {(m + 1) // 2}, "
                          f"got {M}")
-
-
-def _schur_pairs(g, q, m):
-    """(G_n, F_n) for n < m: Schur's algorithm on the coefficient vectors of
-    the pair (g, q), f_n = F_n/G_n.  Division by t drops the entry 0, which
-    the step zeroes, and fills the last entry with 0."""
-    for _ in range(m):
-        yield g, q
-        b = q[0] / g[0]
-        g, q = g - np.conj(b) * q, np.append((q - b * g)[1:], 0.0)
 
 
 def glm_matrix(data, m, M, check_regular=True):

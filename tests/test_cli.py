@@ -460,16 +460,32 @@ def test_csv_malformed_row_rejected(a05_json, tmp_path, capsys, edit, cause):
     assert cause in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, code", [
+    ("# a note", 0), ("", 0), ("  ", 0), ("index,theta,re,im", 2),
+], ids=["comment", "blank", "spaces", "header"])
+def test_csv_header_block_precedes_the_rows(a05_json, tmp_path, capsys, line, code):
+    # comments and blank lines may sit among the rows; the header line may not
+    lines = _csv_lines(a05_json, tmp_path)
+    lines.insert(2 + 9, line)
+    assert _inverse_exit(tmp_path, lines) == code
+    if code:
+        assert "not a number" in capsys.readouterr().err
+
+
 def test_classify_fits_the_glm_block_to_the_truncation(a05_json, tmp_path):
-    # the 16-column GLM block reads 8 rows of order-min(M, 128) vectors:
-    # below --trunc 8 glm_column_norm is null, not a broadcast error
+    # the 16-column GLM block reads the first 16 Schur steps of
+    # order-min(M, 128) vectors, and from step M on they depend on the zeros
+    # filled in past the truncation (for jacobi(0.25, 0, 2000) at --trunc 8,
+    # G_n[0] reads 0.99988 for n = 8..15, where every true value is at least
+    # 1): below --trunc 16 glm_column_norm is null, not a broadcast error or
+    # a truncation artefact
     for trunc in (1, 2, 3, 4, 5, 6, 7, 8, 15, 16):
         out = tmp_path / f"c{trunc}"
         assert main(["classify", "--input", a05_json, "--grid", "1024",
                      "--trunc", str(trunc), "--out", str(out)]) == 0
         rep = json.loads(out.with_suffix(".classify.json").read_text())
         norm = rep["diagnostics"]["glm_column_norm"]
-        assert (norm is None) if trunc < 8 else norm > 1.0
+        assert (norm is None) if trunc < 16 else norm > 1.0
 
 
 def test_classify_and_inverse_deterministic(a05_json, tmp_path):

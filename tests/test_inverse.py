@@ -105,15 +105,28 @@ def _ladder(s, n_max, M):
     return np.sqrt(u0[1:] / u0[:-1]), b
 
 
-def _schur_longdouble(f, t, n):
-    """b_0..b_{n-1} of the recovery's Schur recursion, run in long double on
-    the same samples."""
-    f, t = f.astype(np.clongdouble), t.astype(np.clongdouble)
+def _schur_longdouble(h, n):
+    """b_0..b_{n-1} of the recovery's Schur recurrence, run in long double
+    on the coefficients of the same pair (g, q) of the r = 1 solve of h."""
+    g = solve_block(h)
+    q = -np.conj(h.apply(g))
+    g, q = g.astype(np.clongdouble), q.astype(np.clongdouble)
     b = np.empty(n, dtype=np.clongdouble)
     for k in range(n):
-        b[k] = np.mean(f)
-        f = (f - b[k]) / (t * (1 - np.conj(b[k]) * f))
+        b[k] = q[0] / g[0]
+        g, q = g - np.conj(b[k]) * q, np.append((q - b[k] * g)[1:], 0)
     return b.astype(np.complex128)
+
+
+def test_recovery_reads_the_schur_pairs(grid4096):
+    # the recovered coefficients are b_n = F_n[0]/G_n[0] of the recurrence
+    # the GLM columns read, bit for bit
+    seq = random_complex_seq(np.random.default_rng(30), 5)
+    s = forward_scatter(seq, grid4096).s
+    rep = recover_verblunsky(s, n_max=8, M=128)
+    b = np.array([f[0] / g[0] for g, f in schur_pairs(s, 128, 9)])
+    assert np.array_equal(rep.a, -rep.a_minus1 * b)
+    assert np.array_equal(rep.rho, np.sqrt(1.0 - np.abs(b) ** 2))
 
 
 def test_recover_rho_two_ways(grid4096):
@@ -206,8 +219,8 @@ def test_recover_near_the_gate():
     # just outside REGULAR_GAP, so I - H*H has condition about 4e7.  The
     # Schur parameters match the true ones within 3.1e-9 and the dense
     # shifted ladder within 2.2e-9 (the ladder itself is 9.8e-10 off the
-    # true ones), and the recursion's rounding, against long double on the
-    # same samples, is 2.5e-15
+    # true ones), and the coefficient recurrence's rounding, against long
+    # double on the same (g, q), is 1.6e-14
     seq = jacobi_verblunsky(2.4, 0.0, 400)
     grid = CircleGrid(16384)
     s = forward_scatter(seq, grid).s
@@ -220,15 +233,15 @@ def test_recover_near_the_gate():
     rho, ladder_b = _ladder(s, n_max, M)
     assert np.max(np.abs(b - ladder_b)) <= 5e-9
     assert np.max(np.abs(rep.rho - rho)) <= 5e-9
-    f, _ = aak_boundary(h, solve_block(h), grid)
-    assert np.max(np.abs(b - _schur_longdouble(f, grid.nodes, n_max + 1))) <= 1e-13
+    assert np.max(np.abs(b - _schur_longdouble(h, n_max + 1))) <= 1e-13
 
 
 def test_recover_with_clamped_nodes():
     # the s of jacobi(4, 0, 300) has w < 1e-14 at 175 nodes.  An order that
     # resolves it has 1 - sigma_max = 1.7e-13 and is refused at the gate;
     # at M = 256 (1 - sigma_max = 1.3e-5) f leaves the Schur class, the
-    # recursion stays within 1.7e-17 of long double on the same samples, and
+    # coefficient recurrence stays within 4.9e-17 of long double on the same
+    # (g, q), and
     # the report says the data is not regular instead of returning it as such
     seq = jacobi_verblunsky(4.0, 0.0, 300)
     grid = CircleGrid(16384)
@@ -241,7 +254,7 @@ def test_recover_with_clamped_nodes():
     f, _ = aak_boundary(h, solve_block(h), grid)
     assert np.max(np.abs(f)) > 1.0
     b = -np.conj(rep.a_minus1) * rep.a
-    assert np.max(np.abs(b - _schur_longdouble(f, grid.nodes, 17))) <= 1e-15
+    assert np.max(np.abs(b - _schur_longdouble(h, 17))) <= 1e-15
     assert not rep.regular and rep.residual > 1.0
 
 
