@@ -15,7 +15,7 @@ import numpy as np
 from .circle import CircleFunction, CircleGrid
 from .errors import NumericalError, RegularityError
 from .hankel import hankel_from_symbol, regularity_test
-from .inverse import glm_matrix, recover_verblunsky
+from .inverse import glm_columns, recover_verblunsky
 from .opuc import VerblunskySeq, spectral_density
 from .scatter import forward_scatter
 
@@ -25,10 +25,10 @@ WINDOW_GROWTH_LIMIT = 0.10
 #: window-doubling heuristic is meaningless noise.
 MIN_WINDOW_SUPPORT = 16
 
-#: Columns of the GLM block behind `glm_column_norm`, built at Hankel order
-#: min(M, 128) when that order is at least GLM_COLUMNS: column n reads the
-#: n-th Schur step of order-M vectors, and from n = M on that step depends
-#: on the zeros filled in past the truncation.
+#: Columns of the GLM block behind `glm_column_norm`, read off the operator
+#: that decided regularity when its order is at least GLM_COLUMNS: column n
+#: reads the n-th Schur step of that order's vectors, and from n = order on
+#: that step depends on the zeros filled in past the truncation.
 GLM_COLUMNS = 16
 
 
@@ -211,13 +211,12 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
     gi_member = hs_member and not gi_divergent and not besov_divergent and index == 0
 
     glm_column_norm = None
-    glm_order = min(M, 128)
-    if hs_member and seq is not None and glm_order >= GLM_COLUMNS:
+    # hs_member implies a regular decision, whose operator kept its solve
+    if hs_member and seq is not None and rep.ops[-1].order >= GLM_COLUMNS:
         try:
-            # regularity was decided above at order M; glm_matrix need not redo it
-            glm = glm_matrix(data, GLM_COLUMNS, glm_order, check_regular=False)
+            glm = glm_columns(rep.ops[-1], GLM_COLUMNS, a_minus1)
             glm_column_norm = float(np.max(np.linalg.norm(glm.mat, axis=0)))
-        except (RegularityError, NumericalError):
+        except NumericalError:
             glm_column_norm = None
 
     diagnostics = {

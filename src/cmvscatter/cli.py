@@ -30,6 +30,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_NONREGULAR = 4
 
+#: AC4's bound on glm's factorization residual: above it glm exits 3.
+GLM_RESIDUAL_BOUND = 1e-5
+
 
 def _pair(value, name):
     """The complex number of the [re, im] pair `value` of the input JSON."""
@@ -76,12 +79,19 @@ def _config(args):
     return cfg
 
 
-def _out_prefix(args):
+def _out_path(args, suffix):
+    """The output prefix with `suffix` appended, so a dot in the prefix
+    stays.  Without --out the prefix is the input's name less its extension
+    and, for an s CSV named as forward writes it, less the ".s" too; a
+    command without --input uses its own name."""
     if args.out:
-        return Path(args.out)
-    if getattr(args, "input", None):
-        return Path(Path(args.input).stem)
-    return Path(args.command.replace("-", "_"))  # demo-nonunique takes no --input
+        prefix = Path(args.out)
+    elif getattr(args, "input", None):
+        name = Path(args.input).name
+        prefix = Path(name[: -len(".s.csv")] if name.endswith(".s.csv") else Path(name).stem)
+    else:
+        prefix = Path(args.command.replace("-", "_"))  # demo-nonunique takes no --input
+    return prefix.with_name(prefix.name + suffix)
 
 
 def _jsonable(x):
@@ -101,7 +111,7 @@ def _write_json(args, suffix, fields):
     and the run's config to the output prefix with `suffix`."""
     if dataclasses.is_dataclass(fields):
         fields = dataclasses.asdict(fields)
-    with open(_out_prefix(args).with_suffix(suffix), "w") as fh:
+    with open(_out_path(args, suffix), "w") as fh:
         json.dump({**fields, "config": _config(args)}, fh, indent=2, sort_keys=True,
                   default=_jsonable)
         fh.write("\n")
@@ -128,11 +138,10 @@ def cmd_forward(args):
     seq = _load_seq(args.input)
     grid = CircleGrid(args.grid)
     data = forward_scatter(seq, grid)
-    prefix = _out_prefix(args)
-    s_path = prefix.with_suffix(".s.csv")
+    s_path = _out_path(args, ".s.csv")
     paths, funcs = [s_path], [data.s]
     if args.weight:
-        paths.append(prefix.with_suffix(".w.csv"))
+        paths.append(_out_path(args, ".w.csv"))
         funcs.append(data.w)
     write_circle_csv(paths, funcs, _config(args))  # the files share their index,theta columns
     _write_json(args, ".meta.json", {
@@ -186,7 +195,7 @@ def cmd_widom(args):
     lines = [config_comment(_config(args)), "M,det,product,gap"]
     for m, det, product, gap in rows:
         lines.append(f"{m},{det!r},{product!r},{gap!r}")
-    _out_prefix(args).with_suffix(".widom.csv").write_text("\n".join(lines) + "\n")
+    _out_path(args, ".widom.csv").write_text("\n".join(lines) + "\n")
     last = rows[-1]
     print(f"widom: at M={last[0]} det={last[1]:.9g} product={last[2]:.9g} "
           f"gap={last[3]:.3e}")
@@ -211,6 +220,10 @@ def cmd_glm(args):
     data = forward_scatter(seq, grid)
     glm = glm_matrix(data, args.order, args.trunc)
     residual = glm_factorization_residual(data, args.order, args.trunc, glm=glm)
+    if not residual <= GLM_RESIDUAL_BOUND:  # a NaN is refused too
+        raise NumericalError(
+            f"GLM factorization residual {residual:.3e} exceeds the bound "
+            f"{GLM_RESIDUAL_BOUND:g} at Hankel order {args.trunc}")
     _write_json(args, ".glm.json", {"factorization_residual": residual, "diagonal": glm.diag})
     print(f"glm: factorization residual {residual:.3e}")
     return EXIT_OK

@@ -14,13 +14,14 @@ operator, Gram or factor is formed.  One Lanczos loop on W*W with full
 reorthogonalization serves two readers: the norm, which is cached, and the
 Widom determinant det(I - W*W) = prod(1 - theta_i) over the Ritz values.
 Every solve is solve_block's one conjugate-gradient recurrence for
-(I - r^2 W*W) x = e0.  At r = 1 that loop is the one gate of the one-to-one
+(I - r^2 W*W) x = e0, and the r = 1 solve is kept, so each operator runs it
+once whoever reads it.  At r = 1 that loop is the one gate of the one-to-one
 regime: it refuses, with RegularityError, when 1 - ||W|| <= REGULAR_GAP,
 before any step.  By Kronecker's theorem a symbol of degree p has a Hankel
 operator of rank at most p, so CG stops after about p steps and the
 determinant's Lanczos after about p.  aak_boundary turns the r = 1 solve
-vector into the grid samples of the Schur function and its outer companion
-that the inverse map reads.
+vector and its partner into the grid samples of the Schur function and its
+outer companion that the inverse map reads.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class HankelOp:
     """W[k, j] = neg[k + j] with `order` rows and `cols` columns, square
     unless cols is given; neg[m-1] = shat(-m).  The shifted
     operators W_n = W[:, n:] are column blocks, so one FFT of the
-    coefficients serves the norm, every solve and every product."""
+    coefficients serves the norm, every solve and every product.  The norm
+    and the r = 1 solve are kept once computed."""
 
     order: int
     neg: np.ndarray = field(repr=False)
@@ -68,6 +70,7 @@ class HankelOp:
     _mat: np.ndarray = field(default=None, init=False, repr=False)
     _sigma: float = field(default=None, init=False, repr=False)
     _spec: np.ndarray = field(default=None, init=False, repr=False)
+    _g: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.cols = self.order if self.cols is None else self.cols
@@ -226,17 +229,21 @@ def hankel_from_symbol(s, M, max_shift=0):
 def solve_block(h, r=1.0):
     """x = (I - r^2 H*H)^{-1} e0 by conjugate gradients from 0.
 
-    The loop stops when its recurrence residual reaches 1e-15 or after cols
-    steps.  A step with p*Ap <= 0 raises NumericalError, and so does a true
-    residual ||A x - e0||, recomputed with the same operator, above
-    1e-10 / (1 - (r sigma)^2), with sigma = ||H|| cached.  At r = 1 that
-    sigma gates the one-to-one regime before any step: 1 - sigma <=
-    REGULAR_GAP raises RegularityError.  The co-analytic solve
-    (I - r^2 HH*)^{-1} t-bar is the conjugate of x, since
-    I - r^2 HH* = conj(I - r^2 H*H) for complex symmetric H.
+    The r = 1 solution is kept on h, read-only, and returned by every later
+    r = 1 call on the same operator.  The loop stops when its recurrence
+    residual reaches 1e-15 or after cols steps.  A step with p*Ap <= 0
+    raises NumericalError, and so does a true residual ||A x - e0||,
+    recomputed with the same operator, above 1e-10 / (1 - (r sigma)^2),
+    with sigma = ||H|| cached.  At r = 1 that sigma gates the one-to-one
+    regime before any step: 1 - sigma <= REGULAR_GAP raises
+    RegularityError.  The co-analytic solve (I - r^2 HH*)^{-1} t-bar is the
+    conjugate of x, since I - r^2 HH* = conj(I - r^2 H*H) for complex
+    symmetric H.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {r}")
+    if r == 1.0 and h._g is not None:
+        return h._g
     sigma = h.sigma_max()
     if r == 1.0 and 1.0 - sigma <= REGULAR_GAP:
         raise RegularityError(
@@ -269,17 +276,18 @@ def solve_block(h, r=1.0):
     if resid > 1e-10 / max(1.0 - (r * sigma) ** 2, 1e-300):
         raise NumericalError(
             f"block solve residual {resid:.3e} exceeds 1e-10 * condition estimate")
+    if r == 1.0:
+        x.setflags(write=False)
+        h._g = x
     return x
 
 
-def aak_boundary(h, g, grid):
-    """(f, psi_H) at the grid nodes from the analytic-half solve vector g.
-
-    With q = -H* conj(g) = -conj(H g) (H is complex symmetric, and conj(g)
-    is the co-analytic solve vector), f = q/g is the Schur function with
-    phi_H = t f, and psi_H = sqrt(g[0])/g its outer companion.
+def aak_boundary(g, q, grid):
+    """(f, psi_H) at the grid nodes from the analytic-half solve vector g and
+    its partner q = -H* conj(g) = -conj(H g) (H is complex symmetric, and
+    conj(g) is the co-analytic solve vector): f = q/g is the Schur function
+    with phi_H = t f, and psi_H = sqrt(g[0])/g its outer companion.
     """
-    q = -np.conj(h.apply(g))
     q_t, g_t = (DiskFunction(v).boundary(grid).samples for v in (q, g))
     return q_t / g_t, np.sqrt(g[0].real) / g_t
 
@@ -304,6 +312,10 @@ class RegularityReport:
     converged: bool     # truncation stability between orders M and 2M
     reason: str = ""
     r_sweep: list = None
+    # the HankelOps whose r = 1 solves the test read, each with its norm and
+    # solve kept: order M, then order 2M when that solve decided, so ops[-1]
+    # is the deciding operator; none when the order-M solve was refused
+    ops: tuple = field(default=(), repr=False, compare=False)
 
 
 def regularity_test(s, d0, M):
@@ -333,11 +345,12 @@ def regularity_test(s, d0, M):
         return RegularityReport(False, float("nan"), rhs, sigma, False,
                                 reason=reason, r_sweep=sweep)
     # decide on the larger order solved; the order-M value audits stability
-    lhs2 = lhs_at(2 * M)[0] if 2 * M <= s.grid.size // 4 else lhs
+    lhs2, h2 = lhs_at(2 * M) if 2 * M <= s.grid.size // 4 else (lhs, h)
     converged = (lhs2 is not None
                  and abs(lhs2 - lhs) <= 10 * REGULARITY_TOL * max(abs(lhs), 1.0))
+    ops = (h,) if lhs2 is None or h2 is h else (h, h2)
     lhs = lhs if lhs2 is None else lhs2
     gap = abs(lhs * d0 * d0 - 1.0)
     regular = gap <= REGULARITY_TOL
     reason = "" if regular else f"|lhs * D(0)^2 - 1| = {gap:.3e}"
-    return RegularityReport(regular, lhs, rhs, sigma, converged, reason)
+    return RegularityReport(regular, lhs, rhs, sigma, converged, reason, ops=ops)

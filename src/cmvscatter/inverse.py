@@ -87,15 +87,16 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     master = hankel_from_symbol(s, M)
     warnings = []
     g = solve_block(master)
+    q = -np.conj(master.apply(g))
     b = np.empty(n_max + 1, dtype=np.complex128)
-    for k, (big_g, big_f) in enumerate(_schur_pairs(g, -np.conj(master.apply(g)), n_max + 1)):
+    for k, (big_g, big_f) in enumerate(_schur_pairs(g, q, n_max + 1)):
         b[k] = big_f[0] / big_g[0]
         if not abs(b[k]) < 1.0 - 1e-12:  # a NaN is refused too
             raise NumericalError(
                 f"recovered coefficient modulus reached {abs(b[k]):.9g}; solver failed")
     rho = np.sqrt(1.0 - np.abs(b) ** 2)
 
-    f, psi_t = aak_boundary(master, g, grid)
+    f, psi_t = aak_boundary(g, q, grid)
     phi_t = grid.nodes * f
 
     num = -(s.samples * np.conj(psi_t) + psi_t * np.conj(phi_t))
@@ -153,36 +154,49 @@ def _check_glm_order(m, M):
 
 def glm_matrix(data, m, M, check_regular=True):
     """Columns of the GLM transform of the ScatteringData `data` in the
-    alternating monomial basis.
+    alternating monomial basis, read off the square order-M operator H of
+    data.s by glm_columns.
 
-    One r = 1 solve on the square order-M operator H gives g and
-    q = -conj(H g), and column n reads the n-th Schur step (G_n, F_n) of
-    that pair: rows n, n+2, ... hold G_n (even n) or conj(G_n) (odd n),
-    rows n+1, n+3, ... hold conj(F_n) or F_n, scaled by 1/sqrt(G_n[0]).
-    Odd columns carry the -a_{-1} phase.  The diagonal is
-    rho_0...rho_{n-1}/D(0) up to that phase.
-    Raises ValueError when M < (m + 1) // 2, too short for the block, and
-    NumericalError when a G_n[0] is not positive, which a truncation far
-    below the rank of the symbol's Hankel operator can give.
+    With check_regular, H is the order-M operator of the regularity test,
+    whose r = 1 solve it keeps, and a non-regular decision raises
+    RegularityError; otherwise H is built here.
+    Raises ValueError when M < (m + 1) // 2, too short for the block.
     """
     _check_glm_order(m, M)
     if check_regular:
         rep = regularity_test(s=data.s, d0=data.d0, M=M)
         if not rep.regular:
             raise RegularityError(f"GLM transform needs the regular regime: {rep.reason}")
-    h = hankel_from_symbol(data.s, M)
+        h = rep.ops[0]
+    else:
+        h = hankel_from_symbol(data.s, M)
+    return glm_columns(h, m, data.a_minus1)
+
+
+def glm_columns(h, m, a_minus1):
+    """The m GLM columns of the square operator h of a scattering function
+    whose a_{-1} is `a_minus1`; h.order must be at least (m + 1) // 2.
+
+    The r = 1 solve of h gives g and q = -conj(H g), and column n reads the
+    n-th Schur step (G_n, F_n) of that pair: rows n, n+2, ... hold G_n
+    (even n) or conj(G_n) (odd n), rows n+1, n+3, ... hold conj(F_n) or
+    F_n, scaled by 1/sqrt(G_n[0]).  Odd columns carry the -a_{-1} phase.
+    The diagonal is rho_0...rho_{n-1}/D(0) up to that phase.
+    Raises NumericalError when a G_n[0] is not positive, which a truncation
+    far below the rank of the symbol's Hankel operator can give.
+    """
     g = solve_block(h)
     out = np.zeros((m, m), dtype=np.complex128)
     for n, (big_g, f) in enumerate(_schur_pairs(g, -np.conj(h.apply(g)), m)):
         if not big_g[0].real > 0.0:  # a NaN is refused too
             raise NumericalError(
                 f"GLM column {n} reads G_n[0] = {big_g[0].real:.3e}: "
-                f"Hankel order {M} is too short for this symbol")
+                f"Hankel order {h.order} is too short for this symbol")
         root = np.sqrt(big_g[0].real)
         if n % 2 == 0:
             first, second, scale = big_g, np.conj(f), 1.0 / root
         else:
-            first, second, scale = np.conj(big_g), f, -data.a_minus1 / root
+            first, second, scale = np.conj(big_g), f, -a_minus1 / root
         out[n::2, n] = scale * first[: (m - n + 1) // 2]
         out[n + 1::2, n] = scale * second[: (m - n) // 2]
     return GlmMatrix(out)

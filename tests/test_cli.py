@@ -1,10 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import random_complex_seq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmvscatter import VerblunskySeq, read_circle_csv
+from cmvscatter import CircleFunction, CircleGrid, VerblunskySeq, read_circle_csv, write_circle_csv
 from cmvscatter.cli import _jsonable, _load_seq, main
 
 
@@ -166,6 +173,37 @@ def test_inverse_strict_exit_on_monomial(tmp_path):
     assert rec["regular"] is False
 
 
+def test_inverse_exits_4_on_non_regular_s_without_strict(tmp_path, capsys):
+    # s = 1/t has shat(-1) = 1, so the Hankel norm is 1 and the r = 1 solve
+    # refuses: the RegularityError reaches main, which exits 4 and writes nothing
+    grid = CircleGrid(1024)
+    write_circle_csv([tmp_path / "inv.csv"], [CircleFunction(grid, 1.0 / grid.nodes)])
+    assert main(["inverse", "--input", str(tmp_path / "inv.csv"), "--out", str(tmp_path / "rec"),
+                 "--trunc", "128", "--order", "4"]) == 4
+    assert "one-to-one" in capsys.readouterr().err
+    assert not (tmp_path / "rec.recovery.json").exists()
+
+
+def test_roundtrip_strict_exits_4_below_the_support(tmp_path):
+    # two coefficients of a support-5 draw do not reproduce its s, so the
+    # recovery is not regular: --strict exits 4 after writing the report
+    src = write_seq(tmp_path / "s5.json", random_complex_seq(np.random.default_rng(0), 5))
+    argv = ["roundtrip", "--input", src, "--out", str(tmp_path / "rt"),
+            "--order", "2", "--trunc", "128"]
+    assert main(argv) == 0
+    assert main(argv + ["--strict"]) == 4
+    rt = json.loads((tmp_path / "rt.roundtrip.json").read_text())
+    assert rt["recovery"]["regular"] is False and rt["coefficient_error"] < 1e-12
+
+
+def test_s_csv_not_unimodular_rejected(tmp_path, capsys):
+    grid = CircleGrid(1024)
+    write_circle_csv([tmp_path / "half.csv"], [CircleFunction(grid, 0.5 * grid.nodes)])
+    assert main(["inverse", "--input", str(tmp_path / "half.csv"), "--out", str(tmp_path / "rec"),
+                 "--trunc", "128", "--order", "4"]) == 2
+    assert "not unimodular" in capsys.readouterr().err
+
+
 def test_roundtrip_command(a05_json, tmp_path):
     code = main(["roundtrip", "--input", a05_json, "--out", str(tmp_path / "rt"),
                  "--grid", "4096", "--trunc", "256", "--order", "8"])
@@ -193,6 +231,46 @@ def test_glm_command(a05_json, tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "g.glm.json").read_text())
     assert rep["factorization_residual"] < 1e-6
+
+
+@pytest.mark.parametrize("trunc, code, residual", [(3, 3, 0.52), (4, 3, 0.59), (5, 0, 0.0)])
+def test_glm_exits_3_above_the_factorization_bound(trunc, code, residual, tmp_path, capsys):
+    # a support-5 draw: below order 5 the GLM block reads a truncation of
+    # the symbol's rank-5 Hankel operator, and the residual says so
+    src = write_seq(tmp_path / "s5.json", random_complex_seq(np.random.default_rng(0), 5))
+    out = tmp_path / "g"
+    assert main(["glm", "--input", src, "--out", str(out), "--order", "6",
+                 "--grid", "1024", "--trunc", str(trunc)]) == code
+    if code:
+        found = re.search(r"residual (\S+) exceeds the bound 1e-05", capsys.readouterr().err)
+        assert found and abs(float(found.group(1)) - residual) < 0.01
+        assert not list(tmp_path.glob("g.*"))  # nothing written
+    else:
+        assert json.loads((tmp_path / "g.glm.json").read_text())[
+            "factorization_residual"] <= 1e-15
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), support=st.integers(0, 20),
+       grid=st.sampled_from([1024, 4096]), order=st.integers(1, 16), extra=st.integers(0, 40))
+def test_glm_exit_0_holds_the_factorization_bound(tmp_path_factory, seed, support, grid,
+                                                   order, extra):
+    # exit 0 means AC4's 1e-5 holds; exit 3 writes nothing and names the
+    # measured value that failed: the factorization residual, a solve's
+    # residual or a G_n[0]
+    path = tmp_path_factory.mktemp("glm")
+    seq = random_complex_seq(np.random.default_rng(seed), support, max_mod=0.95)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["glm", "--input", write_seq(path / "seq.json", seq),
+                     "--out", str(path / "g"), "--grid", str(grid), "--order", str(order),
+                     "--trunc", str((order + 1) // 2 + extra)])
+    assert code in (0, 3, 4)
+    if code == 0:
+        assert json.loads((path / "g.glm.json").read_text())["factorization_residual"] <= 1e-5
+    elif code == 3:
+        assert re.search(r"(residual|G_n\[0\] =) -?\d\.\d{3}e[-+]\d\d", err.getvalue())
+        assert not list(path.glob("g.*"))
 
 
 def test_classify_command_seq(a05_json, tmp_path):
@@ -460,6 +538,17 @@ def test_csv_malformed_row_rejected(a05_json, tmp_path, capsys, edit, cause):
     assert cause in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, cause", [
+    (lambda rows: [], "0 rows"),
+    (lambda rows: rows[:12], "12 rows"),
+    (lambda rows: [",".join(row.split(",")[:3]) for row in rows], "four fields"),
+], ids=["header-only", "12-rows", "3-fields-every-row"])
+def test_csv_shape_rejected(a05_json, tmp_path, capsys, edit, cause):
+    lines = _csv_lines(a05_json, tmp_path)
+    assert _inverse_exit(tmp_path, lines[:2] + edit(lines[2:])) == 2
+    assert cause in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, code", [
     ("# a note", 0), ("", 0), ("  ", 0), ("index,theta,re,im", 2),
 ], ids=["comment", "blank", "spaces", "header"])
@@ -473,19 +562,108 @@ def test_csv_header_block_precedes_the_rows(a05_json, tmp_path, capsys, line, co
 
 
 def test_classify_fits_the_glm_block_to_the_truncation(a05_json, tmp_path):
-    # the 16-column GLM block reads the first 16 Schur steps of
-    # order-min(M, 128) vectors, and from step M on they depend on the zeros
-    # filled in past the truncation (for jacobi(0.25, 0, 2000) at --trunc 8,
-    # G_n[0] reads 0.99988 for n = 8..15, where every true value is at least
-    # 1): below --trunc 16 glm_column_norm is null, not a broadcast error or
-    # a truncation artefact
+    # the 16-column GLM block reads the first 16 Schur steps of the vectors
+    # of the order that decided regularity, and from step `order` on they
+    # depend on the zeros filled in past the truncation (for
+    # jacobi(0.25, 0, 2000) at order 8, G_n[0] reads 0.99988 for n = 8..15,
+    # where every true value is at least 1).  At --grid 1024 that order is
+    # 2 * --trunc up to --trunc 128, so below --trunc 8 glm_column_norm is
+    # null, not a broadcast error or a truncation artefact
     for trunc in (1, 2, 3, 4, 5, 6, 7, 8, 15, 16):
         out = tmp_path / f"c{trunc}"
         assert main(["classify", "--input", a05_json, "--grid", "1024",
                      "--trunc", str(trunc), "--out", str(out)]) == 0
-        rep = json.loads(out.with_suffix(".classify.json").read_text())
+        rep = json.loads((tmp_path / f"c{trunc}.classify.json").read_text())
         norm = rep["diagnostics"]["glm_column_norm"]
-        assert (norm is None) if trunc < 16 else norm > 1.0
+        assert (norm is None) if 2 * trunc < 16 else norm > 1.0
+
+
+def test_dotted_out_prefix_keeps_its_dots(a05_json, tmp_path):
+    # suffixes are appended to --out, so run.v2 and run.v3 write apart
+    for tag in ("v2", "v3"):
+        out = str(tmp_path / f"run.{tag}")
+        assert main(["forward", "--input", a05_json, "--out", out, "--grid", "1024"]) == 0
+        assert main(["widom", "--input", a05_json, "--out", out, "--grid", "1024",
+                     "--trunc", "64"]) == 0
+    assert sorted(p.name for p in tmp_path.glob("run.*")) == [
+        f"run.{tag}.{suffix}" for tag in ("v2", "v3")
+        for suffix in ("meta.json", "s.csv", "widom.csv")]
+
+
+def test_default_out_prefix_is_the_input_name(tmp_path, monkeypatch):
+    # without --out: the input's name less its extension, and less the ".s"
+    # of an s CSV, in the working directory; demo-nonunique uses its own name
+    (tmp_path / "in").mkdir()
+    src = write_seq(tmp_path / "in" / "seq.v1.json", VerblunskySeq(a_minus1=1.0, a=(0.5,)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["forward", "--input", src, "--grid", "1024"]) == 0
+    assert main(["inverse", "--input", "seq.v1.s.csv", "--trunc", "128", "--order", "4"]) == 0
+    assert main(["demo-nonunique", "--grid", "1024", "--trunc", "16"]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "in", "seq.v1.s.csv", "seq.v1.meta.json", "seq.v1.recovery.json",
+        "demo_nonunique.demo.json"}
+
+
+@pytest.fixture
+def hankel_work(monkeypatch):
+    """Counters, by operator order, of the Hankel work a command does: the
+    operators built, the Lanczos runs, the CG solves (an r = 1 call answered
+    from the operator's kept solve is not one) and the products W x."""
+    from cmvscatter import hankel, inverse
+
+    work = {kind: Counter() for kind in ("built", "lanczos", "cg", "apply")}
+    op = hankel.HankelOp
+
+    def counted(kind, method):
+        def wrapper(self, *args, **kwargs):
+            work[kind][self.order] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for kind, name in (("built", "__post_init__"), ("lanczos", "_lanczos"), ("apply", "apply")):
+        monkeypatch.setattr(op, name, counted(kind, getattr(op, name)))
+    solve = hankel.solve_block
+
+    def solve_block(h, r=1.0):
+        kept = h._g
+        x = solve(h, r)
+        work["cg"][h.order] += x is not kept
+        return x
+
+    for module in (hankel, inverse):
+        monkeypatch.setattr(module, "solve_block", solve_block)
+    return work
+
+
+def test_glm_and_classify_build_each_operator_once(tmp_path, hankel_work):
+    # one Lanczos run and one CG solve per order: glm's GLM columns and
+    # classify's read the solves the regularity test kept, at order M and
+    # 2M (only M when 2M > N/4); glm's dense reference builds its own
+    # order-M matrix, with neither
+    src = write_seq(tmp_path / "s5.json",
+                    random_complex_seq(np.random.default_rng(0), 5, max_mod=0.5))
+    assert main(["glm", "--input", src, "--out", str(tmp_path / "g"), "--grid", "16384",
+                 "--order", "8", "--trunc", "256"]) == 0
+    assert hankel_work["lanczos"] == hankel_work["cg"] == {256: 1, 512: 1}
+    assert hankel_work["built"] == {256: 2, 512: 1}
+    for grid, trunc, orders in (("4096", 64, (64, 128)), ("1024", 256, (256,))):
+        for counts in hankel_work.values():
+            counts.clear()
+        assert main(["classify", "--input", src, "--out", str(tmp_path / "c"), "--grid", grid,
+                     "--trunc", str(trunc)]) == 0
+        report = json.loads((tmp_path / "c.classify.json").read_text())
+        assert report["hs_member"] and report["diagnostics"]["glm_column_norm"] > 1.0
+        once = dict.fromkeys(orders, 1)
+        assert hankel_work["built"] == hankel_work["lanczos"] == hankel_work["cg"] == once
+
+
+def test_recovery_forms_q_once(tmp_path, hankel_work):
+    # the Schur parameters and the a_{-1} identity read one q = -conj(H g)
+    src = write_seq(tmp_path / "s5.json",
+                    random_complex_seq(np.random.default_rng(0), 5, max_mod=0.5))
+    assert main(["roundtrip", "--input", src, "--out", str(tmp_path / "rt"),
+                 "--order", "8", "--trunc", "256"]) == 0
+    assert hankel_work["apply"] == hankel_work["lanczos"] == hankel_work["cg"] == {256: 1}
 
 
 def test_classify_and_inverse_deterministic(a05_json, tmp_path):
