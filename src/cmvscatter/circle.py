@@ -16,7 +16,9 @@ Circle functions travel as CSV rows "index,theta,re,im".  The writer
 prints each float byte for byte as '%.17g' would, from digits rounded in
 long double where the error bound certifies the rounding and from one '%'
 call per block for the rest; where long double is plain double, every
-value takes the '%' path and only the speed changes.
+value takes the '%' path and only the speed changes.  Each value fills a
+32-byte slot from table lookups, NUL where nothing is printed, and one
+translate call per block and file drops the NULs.
 """
 
 from __future__ import annotations
@@ -229,25 +231,32 @@ def outer_from_modulus_squared(w):
 
 #: Rows per block.  One _format_g17 call formats every column of a block,
 #: 4 x CSV_BLOCK_ROWS values for `forward --weight`, and the temporaries of
-#: that call set the writer's peak memory (1.6 MiB traced for s and w at
-#: N = 16384, against 2.8 MiB with blocks of 2048 rows).
+#: that call set the writer's peak memory (1.05 MiB traced for s and w at
+#: N = 16384, against 1.8 MiB with blocks of 2048 rows).
 CSV_BLOCK_ROWS = 1024
 
-# Values are formatted as '%.17g' in numpy.  Each value fills a 48-byte
-# slot, NUL where nothing is printed, which translate(None, b"\0") drops:
-#   byte 0        the sign
-#   bytes 1-5     "0." and up to three zeros, for decimal exponents -1..-4
-#   byte 6 + 2i   digit i of 17, and byte 7 + 2i the point if it follows
-#   bytes 40-44   the exponent, "e+dd" to "e-ddd"
-#   byte 45       the field's terminator, "," or "\n", set by the writer
-# Tables hold the bytes at these offsets as uint64 words, so a slot is
-# filled word by word from table lookups and byte order never enters.
+#: Bytes per formatted value.  Values are formatted as '%.17g' in numpy.
+#: Each fills a slot of four uint64 words, NUL where nothing is printed,
+#: which translate(None, b"\0") drops:
+#:   byte 0        the sign
+#:   bytes 1-5     "0." and up to three zeros, for decimal exponents -1..-4
+#:   byte 6        digit 0, and byte 7 the point if it follows digit 0
+#:   bytes 8-23    digits 1-16, back to back
+#:   bytes 24-28   the exponent, "e+dd" to "e-ddd"
+#:   byte 31       the field's terminator, "," or "\n", set by the writer
+#: A point that follows digit k, 1 <= k <= 15 (fixed notation for
+#: 10 <= |x| < 1e16), goes at byte 8 + k, and the digits after it move one
+#: byte on.  Tables hold the bytes of words and 4-digit groups, so a slot is
+#: filled from table lookups and byte order never enters.  A value that
+#: takes the '%' path fills its slot with that text, at most 24 bytes
+#: ("-2.2250738585072014e-308").
+SLOT_BYTES = 32
 
 
-def _words(b):
-    """The uint64 words of an array of bytes whose last axis is 8k long."""
-    b = np.ascontiguousarray(b, dtype=np.uint8)
-    return b.view(np.uint64)
+def _words(b, dtype=np.uint64):
+    """The words of an array of bytes whose last axis is a whole number of
+    words long."""
+    return np.ascontiguousarray(b, dtype=np.uint8).view(dtype)
 
 
 #: Powers of ten 10^p that scale a float64 to 17 digits, and the decimal
@@ -274,49 +283,43 @@ def _g17_tables():
     p = np.arange(_P_LO, _P_HI + 1)
     t.bound = np.where((p >= 0) & (p <= 27), 0.5, 2.0) * eps * 1.001
 
-    # a 4-digit group at the even bytes of a word
-    b = np.zeros((10, 10, 10, 10, 8), np.uint8)
-    for place in range(4):
-        b[..., 2 * place] = (np.arange(10) + 48).reshape((10,) + (1,) * (3 - place))
-    t.digits4 = _words(b.reshape(-1, 8))[:, 0]
+    # the four digit bytes of each 4-digit group, as one uint32
+    g = np.arange(10000)
+    t.digits4 = _words(g[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48, np.uint32)[:, 0]
 
-    # word 0 at 100 * (point after digit 0) + 50 * sign + 10 * zeros + digit 0
-    b = np.zeros((2, 2, 5, 10, 8), np.uint8)
-    b[1, ..., 7] = ord(".")
-    b[:, 1, ..., 0] = ord("-")
+    # word 0 at 20 (clip(k, -5, 17) + 5) + 10 sign + digit 0 for the decimal
+    # exponent k: "0." and up to three zeros lead for k = -1..-4, and the
+    # point follows digit 0 for k = 0 and in scientific notation
+    kc = np.arange(-5, 18)
+    b = np.zeros((23, 2, 10, 8), np.uint8)
+    b[(kc == -5) | (kc == 0) | (kc == 17), ..., 7] = ord(".")
+    b[:, 1, :, 0] = ord("-")
     b[..., 1:6] = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], dtype="S5").view(
-        np.uint8).reshape(5, 1, 5)
+        np.uint8).reshape(5, 5)[np.where((kc < 0) & (kc > -5), -kc, 0), None, None]
     b[..., 6] = np.arange(10) + 48
     t.word0 = _words(b.reshape(-1, 8))[:, 0]
 
-    # word 5 by decimal exponent: empty where '%.17g' prints fixed notation
+    # word 3 by decimal exponent: empty where '%.17g' prints fixed notation
     t.exponent = _words(np.array([b"" if -4 <= e < 17 else b"e%+03d" % e
                                   for e in range(_E_LO, _E_HI + 1)], dtype="S8").view(
         np.uint8).reshape(-1, 8))[:, 0]
 
     # For trailing zeros: the index among the 17 digits of the last nonzero
-    # digit of 4-digit group j, at 10000 j + group, and 0 for a zero group.
-    g = np.arange(10000, dtype=np.int16)
-    last = (4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)).astype(np.uint8)
-    t.last_digit = ((np.arange(0, 16, 4, dtype=np.uint8)[:, None] + last) * (g != 0)).ravel()
-    # Words 0-4 of a value whose last nonzero digit is L and whose point
-    # follows digit P (-4 <= P <= 16), at 21 L + P + 4: digits past
-    # max(L, P) are masked off, and the point is kept only when digits follow.
-    L = np.arange(17)[:, None, None]
-    P = np.arange(-4, 17)[None, :, None]
-    i = np.arange(17)
-    b = np.zeros((17, 21, 40), np.uint8)
-    b[..., :6] = 255
-    b[..., 6::2] = np.where(i <= np.maximum(L, P), 255, 0)
-    t.trim_and = _words(b.reshape(-1, 40))
-    b = np.zeros((17, 21, 40), np.uint8)
-    b[..., 7::2] = np.where((i == P) & (P < L), ord("."), 0)
-    t.trim_or = _words(b.reshape(-1, 40))
+    # digit of 4-digit group j (digits 4j + 1 to 4j + 4), at [j, group], and
+    # 0 for a zero group.
+    tz = (g % 10 == 0).astype(np.uint8) + (g % 100 == 0) + (g % 1000 == 0)
+    t.last_digit = (np.arange(4, 20, 4, dtype=np.uint8)[:, None] - tz) * (g != 0)
+    # A slot's mask with the digits past digit L off, at L; the point after
+    # digit 0 goes with the digits that would follow it.
+    digit = np.maximum(np.arange(7, 24) - 7, 1)
+    b = np.full((17, SLOT_BYTES), 255, np.uint8)
+    b[:, 7:24] *= digit <= np.arange(17)[:, None]
+    t.keep = _words(b)
     return t
 
 
 def _format_g17(x):
-    """The (n, 6) uint64 slots of '%.17g' % v for every float64 v in x.
+    """The (n, 4) uint64 slots of '%.17g' % v for every float64 v in x.
 
     The 17 digits are round(|x| 10^(16 - k)) for the decimal exponent k,
     scaled in long double.  A value whose rounding the long double error
@@ -324,77 +327,95 @@ def _format_g17(x):
     """
     t = _g17_tables()
     n = len(x)
-    out = np.empty((n, 6), dtype=np.uint64)
-    ax = np.abs(x)
-    zero = ax == 0
+    zero = x == 0
     finite = np.isfinite(x) & ~zero
-    safe = np.where(finite, ax, 1.0)
+    safe = np.where(finite, np.abs(x), 1.0)
     k = np.floor(np.log10(safe)).astype(np.int64)
     lx = safe.astype(np.longdouble)
     y = lx * t.pow10[16 - k - _P_LO]
     r = np.rint(y)
-    d = r.astype(np.int64)
+    d = r.astype(np.uint64)
     fix = np.flatnonzero((d < 10 ** 16) | (d > 10 ** 17))  # log10 off by one
     if len(fix):
         k[fix] += np.where(d[fix] > 10 ** 17, 1, -1)
         y[fix] = lx[fix] * t.pow10[16 - k[fix] - _P_LO]
         r[fix] = np.rint(y[fix])
-        d[fix] = r[fix].astype(np.int64)
+        d[fix] = r[fix].astype(np.uint64)
     # certified: |y - exact| < bound < distance from y to the nearest half,
     # and 10^16 < d excludes the one rounding that may cross 10^16 from below
     margin = 0.5 - np.abs((y - r).astype(np.float64))
     certified = (finite & (margin > d * t.bound[16 - k - _P_LO])
                  & (d > 10 ** 16) & (d <= 10 ** 17))
+    del lx, y, r, margin  # freed before the slots are built, to lower the peak
     d[~certified] = 10 ** 16  # in range for the lookups; '%' rewrites these slots
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
     k += carry
-    k[zero] = 0
-    d[zero] = 0
-    hi = d // 100000000
-    lo = d - hi * 100000000
-    lead = hi // 100000000
-    group = np.empty((n, 4), np.int64)
-    group[:, 0] = hi // 10000 - lead * 10000
-    group[:, 1] = hi % 10000
-    group[:, 2] = lo // 10000
-    group[:, 3] = lo % 10000
-    # the point follows digit k in fixed notation (k < 0: in the "0.000"
-    # prefix) and digit 0 in scientific notation
-    point = np.where((k >= -4) & (k < 17), k, 0)
-    out[:, 0] = t.word0[(point == 0) * 100 + np.signbit(x) * 50 + np.maximum(-point, 0) * 10 + lead]
-    out[:, 1:5] = t.digits4[group]
-    out[:, 5] = t.exponent[k - _E_LO]
-    zeros = np.flatnonzero(zero)
-    if len(zeros):
-        out[zeros, 0] = t.word0[np.signbit(x[zeros]) * 50]  # "0" or "-0"
-        out[zeros, 1:5] = 0
-    # trailing zeros to drop (the last digit is 0), or a point past word 0
-    trim = np.flatnonzero((lo % 10 == 0) & ~zero | (point > 0) & (point < 16))
+    d[zero] = 0  # and k is 0 there
+    # digit 0 and four 4-digit groups, in unsigned arithmetic: d < 2^64 and
+    # each half of 8 digits < 2^32
+    hi = d // 10 ** 8
+    lo = (d - hi * 10 ** 8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10 ** 8
+    hi -= lead * 10 ** 8
+    group = np.empty((4, n), np.intp)
+    for j, half in ((0, hi), (2, lo)):
+        top = half // 10000
+        group[j] = top
+        group[j + 1] = half - top * 10000
+    out = np.empty((n, 4), dtype=np.uint64)
+    out[:, 0] = t.word0[np.clip(k, -5, 17) * 20 + np.signbit(x) * 10 + lead + 100]
+    out.view(np.uint32)[:, 2:6] = t.digits4[group.T]
+    out[:, 3] = t.exponent[k - _E_LO]
+    # trailing zeros to drop (the last digit is 0), but none before a point
+    # that follows digit k in fixed notation (k <= 16)
+    trim = np.flatnonzero(lo == lo // 10 * 10)
     if len(trim):
-        groups = group[trim] + np.array([0, 10000, 20000, 30000])
-        at = t.last_digit[groups].max(axis=1).astype(np.int64) * 21 + point[trim] + 4
-        out[trim, :5] = out[trim, :5] & t.trim_and[at] | t.trim_or[at]
+        last = np.max([t.last_digit[j, group[j, trim]] for j in range(4)], axis=0)
+        point = k[trim]
+        out[trim] &= t.keep[np.maximum(last, np.where(point < 17, point, 0))]
+    inner = np.flatnonzero((k > 0) & (k < 16))
+    if len(inner):
+        out[inner] = _insert_point(out[inner], k[inner])
     rest = np.flatnonzero(~certified & ~zero)
     if len(rest):
         out[rest] = _percent_slots(x[rest])
     return out
 
 
+def _insert_point(slots, k):
+    """The slots with a point after digit k: the bytes from digit k + 1 on
+    move one byte on, and the point goes in only if a digit follows it."""
+    b = slots.view(np.uint8)
+    at = 8 + k
+    rows = np.arange(len(b))
+    col = np.arange(SLOT_BYTES)
+    moved = b[rows[:, None], col - (col > at[:, None])]
+    moved[rows, at] = (b[rows, at] != 0) * ord(".")
+    return moved.view(np.uint64)
+
+
 def _percent_slots(x):
     """The slots of '%.17g' % v for every v in x, from one '%' call."""
     text = ("%.17g," * len(x) % tuple(x.tolist())).encode()
-    return _words(np.array(text.split(b",")[:-1], dtype="S48").view(np.uint8).reshape(-1, 48))
+    return _words(np.array(text.split(b",")[:-1], dtype=f"S{SLOT_BYTES}").view(
+        np.uint8).reshape(-1, SLOT_BYTES))
 
 
 def _index_field(n, words):
     """The uint64 words of "j," for each row j < n, right-aligned in 8 * words bytes."""
-    j = np.arange(n)
     b = np.zeros((n, 8 * words), np.uint8)
     b[:, -1] = ord(",")
+    digits = np.arange(48, 58, dtype=np.uint8)
     for place in range(len(str(n - 1))):
+        # down the rows, digit `place` of j runs through 0-9 in runs of p,
+        # and rows j < p have none (but for the "0" of j = 0)
         p = 10 ** place
-        b[:, -2 - place] = np.where((j >= p) | (place == 0), j // p % 10 + 48, 0)
+        runs = np.repeat(digits[: -(-n // p)], p)
+        b[:, -2 - place] = np.tile(runs, -(-n // len(runs)))[:n]
+        if place:
+            b[:p, -2 - place] = 0
     return _words(b)
 
 
@@ -408,12 +429,15 @@ def write_circle_csv(path, f, config=None):
     numpy, with one _format_g17 call on the block's theta column and every
     file's re and im columns together: the 17 digits come from scaling |x|
     by a power of ten in long double, and the rounding is used only where
-    the long double error bound certifies it.  Other values (about 0.44% of
-    those formatted for the forward benchmark's outputs, and every
-    non-finite one) take one '%' call per block, and on a platform whose long double is plain
-    double every value does: the output stays exact, only slower.  A column
-    of +0.0 only, with no sign bit (the imaginary part of a real function),
-    is not formatted; it prints the constant "0".
+    the long double error bound certifies it.  Other values (0.44% of those
+    formatted for the forward benchmark's timed outputs, and every
+    non-finite one) take one '%' call per block, and on a platform whose
+    long double is plain double every value does: the output stays exact,
+    only slower.  A row is the "index," words and three SLOT_BYTES slots,
+    each ending in its terminator, and one translate call per block and
+    file drops their NUL padding.  A column of +0.0 only, with no sign bit
+    (the imaginary part of a real function), is not formatted; it prints
+    the constant "0".
     """
     grid = f[0].grid
     if len(path) != len(f) or any(g.grid.size != grid.size for g in f):
@@ -423,14 +447,19 @@ def write_circle_csv(path, f, config=None):
     if config:
         head = config_comment(config) + "\n" + head
     iw = len(str(n - 1)) // 8 + 1  # words of the "index," field
-    # a row of NUL but for the terminators of the theta, re and im slots
-    ends = np.frombuffer(bytes(8 * iw) + b"".join(bytes(45) + end + bytes(2)
-                                                  for end in (b",", b",", b"\n")), dtype=np.uint64)
+    sw = SLOT_BYTES // 8  # words of a slot
     # theta, then re and im of each file; None marks a column of +0.0 only
     cols = [grid.thetas]
     for g in f:
         cols += [c if c.view(np.uint64).any() else None for c in (g.samples.real, g.samples.imag)]
-    zero_slot = np.array([_g17_tables().word0[0], 0, 0, 0, 0, 0], dtype=np.uint64)
+    # each column's terminator, "," or "\n", goes in the last byte of its
+    # slots; a column of +0.0 only has the one slot "0"
+    ends = np.array([ord(",")] + [ord(","), ord("\n")] * len(f), np.uint8)
+    zero_slots = np.zeros((len(cols), SLOT_BYTES), np.uint8)
+    zero_slots[:, 0] = ord("0")
+    zero_slots[:, -1] = ends
+    zero_slots = _words(zero_slots)
+    formatted_ends = ends[[c is not None for c in cols], None]
     index = _index_field(n, iw)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", newline="\n")) for p in path]
@@ -439,17 +468,18 @@ def write_circle_csv(path, f, config=None):
             fh.flush()  # the rows go straight to the binary buffer below
         for start in range(0, n, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n)
-            formatted = iter(_format_g17(np.concatenate(
-                [c[start:stop] for c in cols if c is not None])).reshape(-1, stop - start, 6))
-            slots = [zero_slot if c is None else next(formatted) for c in cols]
-            buf = bytearray(8 * (iw + 18) * (stop - start))
-            rows = np.frombuffer(buf, dtype=np.uint64).reshape(stop - start, iw + 18)
+            formatted = _format_g17(np.concatenate(
+                [c[start:stop] for c in cols if c is not None])).reshape(-1, stop - start, sw)
+            formatted.view(np.uint8)[..., -1] = formatted_ends
+            formatted = iter(formatted)
+            slots = [zero if c is None else next(formatted) for c, zero in zip(cols, zero_slots)]
+            buf = bytearray(8 * (iw + 3 * sw) * (stop - start))
+            rows = np.frombuffer(buf, dtype=np.uint64).reshape(stop - start, iw + 3 * sw)
             rows[:, :iw] = index[start:stop]
-            rows[:, iw: iw + 6] = slots[0]
+            rows[:, iw: iw + sw] = slots[0]
             for fh, re, im in zip(files, slots[1::2], slots[2::2]):
-                rows[:, iw + 6: iw + 12] = re
-                rows[:, iw + 12:] = im
-                rows |= ends
+                rows[:, iw + sw: iw + 2 * sw] = re
+                rows[:, iw + 2 * sw:] = im
                 fh.buffer.write(buf.translate(None, b"\0"))
 
 

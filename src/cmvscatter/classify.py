@@ -180,12 +180,14 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
             w_full = spectral_density(probe, grid)
             a_minus1 = rec.a_minus1
             sigma = rec.sigma_max  # the norm of the same order-M operator
-        except (RegularityError, NumericalError):
+        except (RegularityError, NumericalError) as exc:
+            if exc.sigma_max is None:
+                raise  # the norm itself did not converge
             regular = False
             coeffs = np.zeros(0)
             w_full = CircleFunction.constant(grid, 1.0)
             a_minus1 = -1.0
-            sigma = hankel_from_symbol(s, M).sigma_max()
+            sigma = exc.sigma_max  # the norm the refused recovery computed
     # the half grid's nodes are the even nodes of the full grid
     w_half = CircleFunction(CircleGrid(grid.size // 2), w_full.samples[::2])
 

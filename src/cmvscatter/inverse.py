@@ -78,13 +78,24 @@ def recover_verblunsky(s, n_max, M, residual_tol=1e-6):
     Raises RegularityError when that solve refuses r = 1 (outside the
     one-to-one regime), and NumericalError when a Schur parameter reaches
     modulus 1 - 1e-12; lesser defects are reported in the warnings list
-    instead.  sigma_max is the norm of the order-M Hankel operator.
-    a_minus1_std and residual come from one forward map of the result.
+    instead.  sigma_max is the norm of the order-M Hankel operator, and
+    either error carries it too, as `sigma_max` (None when the norm itself
+    failed), so a caller that reports the norm of a refused recovery runs no
+    second Lanczos.  a_minus1_std and residual come from one forward map of
+    the result.
     """
     if M < n_max + 64:
         raise ValueError(f"Hankel order {M} too small for n_max {n_max}; need >= {n_max + 64}")
-    grid = s.grid
     master = hankel_from_symbol(s, M)
+    try:
+        return _recover(s, master, n_max, residual_tol)
+    except (RegularityError, NumericalError) as exc:
+        exc.sigma_max = master._sigma
+        raise
+
+
+def _recover(s, master, n_max, residual_tol):
+    grid = s.grid
     warnings = []
     g = solve_block(master)
     q = -np.conj(master.apply(g))

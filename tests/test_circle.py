@@ -218,22 +218,29 @@ def _assert_reads_back(path, f):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("size,block", [(16, None), (64, 7), (8192, None), (8192, 7),
-                                        (8192, 3000)])
-def test_csv_writer_matches_per_row_format(tmp_path, monkeypatch, size, block):
+@pytest.mark.parametrize("size,block,fallback", [
+    pytest.param(size, block, fallback, id=f"{size}-{block}" + "-fallback" * fallback)
+    for fallback in (False, True)
+    for size, block in [(16, None), (64, 7), (8192, None), (8192, 7), (8192, 3000)]])
+def test_csv_writer_matches_per_row_format(tmp_path, monkeypatch, size, block, fallback):
     # block None: the shipped CSV_BLOCK_ROWS, which exceeds 16 and divides 8192;
     # a complex and a real function go through one call, so each block formats
     # both files' columns at once, across block edges that 7 and 3000 leave
-    # unaligned
+    # unaligned.  fallback: an infinite rounding bound sends every value,
+    # 24-byte fields at the block edges included, through the '%' path.
     if block is not None:
         monkeypatch.setattr(circle, "CSV_BLOCK_ROWS", block)
+    if fallback:
+        tables = circle._g17_tables()
+        monkeypatch.setattr(tables, "bound", np.full_like(tables.bound, np.inf))
     sent = []
     percent = circle._percent_slots
     monkeypatch.setattr(circle, "_percent_slots", lambda x: sent.append(len(x)) or percent(x))
     grid = CircleGrid(size)
     rng = np.random.default_rng(size)
-    specials = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 0.0, 1.0 / 3.0,
-                2.2250738585072014e-308, 123456789.0, 1e16, -1e-5, 0.1] + _PERCENT_PATH[:2]
+    # 24-byte fields first, last and across the block edge that 7 leaves
+    specials = [-2.2250738585072014e-308, -1.7976931348623157e308, -0.0, 5e-324, 1e300, 0.0,
+                -5e-324, -1e300, -7.0, 1.0 / 3.0, 123456789.0, 1e16, -1e-5, 0.1] + _PERCENT_PATH[:2]
     im = rng.normal(size=size)
     im[-len(specials):] = specials[::-1]
     f = CircleFunction(grid, _complex(rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size),
@@ -249,7 +256,11 @@ def test_csv_writer_matches_per_row_format(tmp_path, monkeypatch, size, block):
         for path, h in zip(paths, (f, g)):
             assert path.read_text() == _reference_csv_text(h, config)
             _assert_reads_back(path, h)
-        assert sum(sent) >= 4  # at least the _PERCENT_PATH values of f and g
+        if fallback:  # every nonzero value of the four formatted columns
+            assert sum(sent) == np.count_nonzero(np.concatenate(
+                [grid.thetas, f.samples.real, f.samples.imag, g.samples.real]))
+        else:
+            assert sum(sent) >= 4  # at least the _PERCENT_PATH values of f and g
 
 
 def test_csv_writer_keeps_signed_zeros(tmp_path, monkeypatch):
@@ -315,7 +326,7 @@ def test_csv_writer_peak_memory(tmp_path):
 def _g17_lines(x):
     """The writer's formatter applied to x, one value per line."""
     slots = circle._format_g17(np.asarray(x, dtype=np.float64)).view(np.uint8)
-    slots[:, 45] = ord("\n")
+    slots[:, circle.SLOT_BYTES - 1] = ord("\n")
     return slots.tobytes().translate(None, b"\0").decode("ascii").splitlines()
 
 
@@ -353,6 +364,32 @@ def test_format_g17_matches_format_property(floats, bits):
     x = np.concatenate([np.array(floats, dtype=np.float64),
                         np.array(bits, dtype=np.uint64).view(np.float64)])
     assert _g17_lines(x) == [format(v, ".17g") for v in x.tolist()]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 52 - 1), st.integers(3, 56), st.booleans()),
+                max_size=30),
+       st.lists(st.tuples(st.integers(1, 99999), st.integers(0, 16), st.integers(-2, 1)),
+                max_size=30))
+def test_format_g17_point_inside_digits_property(tmp_path_factory, bits, scaled):
+    # 10 <= |x| < 1e17: fixed notation whose point, if any, falls among the
+    # digits.  Random bit patterns with binary exponents 3..56, and integers
+    # with trailing zeros scaled by 10^-2..10^1, against '%.17g' and, through
+    # the writer, against the per-row format.
+    b = np.array(bits, dtype=np.uint64).reshape(-1, 3)
+    random = ((b[:, 2] << 63) | ((b[:, 1] + 1023) << 52) | b[:, 0]).view(np.float64)
+    ints = np.array([i * 10 ** (j + e + 2) / 100 for i, j, e in scaled])
+    x = np.concatenate([[1200.0, 1e16, 123456789012345680.0, 10.5, -10.5, 10.0, 1e16 - 2],
+                        random, ints])
+    x = x[(np.abs(x) >= 10) & (np.abs(x) < 1e17) | (x == 123456789012345680.0)]
+    assert _g17_lines(x) == ["%.17g" % v for v in x.tolist()]
+    size = 16
+    while 2 * size < len(x):
+        size *= 2
+    f = CircleFunction(CircleGrid(size), _complex(np.resize(x, size), np.resize(-x[::-1], size)))
+    path = tmp_path_factory.getbasetemp() / "point.csv"
+    write_circle_csv([path], [f])
+    assert path.read_text() == _reference_csv_text(f, None)
 
 
 def test_format_g17_certifies_most_values(monkeypatch):

@@ -657,6 +657,18 @@ def test_glm_and_classify_build_each_operator_once(tmp_path, hankel_work):
         assert hankel_work["built"] == hankel_work["lanczos"] == hankel_work["cg"] == once
 
 
+def test_classify_reads_the_norm_of_a_refused_recovery(hankel_work):
+    # s = 1/t has norm 1, so the r = 1 solve refuses it; the report's norm is
+    # the one that refusal computed, with no second order-M operator or Lanczos
+    from cmvscatter.classify import classify
+
+    grid = CircleGrid(4096)
+    report = classify(s=CircleFunction(grid, np.conj(grid.nodes)), M=256)
+    assert not report.regular and report.hankel_norm == 1.0
+    assert hankel_work["built"] == hankel_work["lanczos"] == {256: 1}
+    assert hankel_work["cg"] == {}
+
+
 def test_recovery_forms_q_once(tmp_path, hankel_work):
     # the Schur parameters and the a_{-1} identity read one q = -conj(H g)
     src = write_seq(tmp_path / "s5.json",
