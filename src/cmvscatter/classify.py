@@ -26,9 +26,9 @@ WINDOW_GROWTH_LIMIT = 0.10
 MIN_WINDOW_SUPPORT = 16
 
 #: Columns of the GLM block behind `glm_column_norm`, read off the operator
-#: that decided regularity when its order is at least GLM_COLUMNS: column n
-#: reads the n-th Schur step of that order's vectors, and from n = order on
-#: that step depends on the zeros filled in past the truncation.
+#: that decided regularity when that order is `converged`.  glm_columns
+#: zero-pads an order below (GLM_COLUMNS + 1) // 2, which is exact when s
+#: has no coefficients past it.
 GLM_COLUMNS = 16
 
 
@@ -157,8 +157,9 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
         raise ValueError("provide a sequence or a scattering function")
 
     if seq is not None:
-        if grid is None:
-            raise ValueError("classifying a sequence needs the grid to sample it on")
+        if grid is None or grid.size < 32:
+            raise ValueError("classifying a sequence needs a grid of at least 32 nodes, as "
+                             f"the A2 scan reads its half grid; got {grid and grid.size}")
         data = forward_scatter(seq, grid)
         s = data.s
         rep = regularity_test(s=s, d0=data.d0, M=M)
@@ -214,7 +215,7 @@ def classify(seq=None, s=None, grid=None, M=256, r=0.95):
 
     glm_column_norm = None
     # hs_member implies a regular decision, whose operator kept its solve
-    if hs_member and seq is not None and rep.ops[-1].order >= GLM_COLUMNS:
+    if hs_member and seq is not None and rep.converged:
         try:
             glm = glm_columns(rep.ops[-1], GLM_COLUMNS, a_minus1)
             glm_column_norm = float(np.max(np.linalg.norm(glm.mat, axis=0)))

@@ -21,7 +21,9 @@ before any step.  By Kronecker's theorem a symbol of degree p has a Hankel
 operator of rank at most p, so CG stops after about p steps and the
 determinant's Lanczos after about p.  aak_boundary turns the r = 1 solve
 vector and its partner into the grid samples of the Schur function and its
-outer companion that the inverse map reads.
+outer companion that the inverse map reads.  regularity_test compares the
+constant of one r = 1 solve with 1/D(0)^2 (AAK), at the one order M or 2M
+picked by the norm of s's negative coefficients order M leaves unread.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .errors import NumericalError, RegularityError
 #: most this: the one gate of the one-to-one regime.
 REGULAR_GAP = 1e-8
 
-#: A regularity_test decision holds when |lhs D(0)^2 - 1| is at most this;
-#: orders M and 2M count as converged within 10 times it.
+#: The bound of a regular decision on |lhs D(0)^2 - 1|, and of a converged
+#: one on the norm of s's negative coefficients its order leaves unread.
 REGULARITY_TOL = 1e-4
 
 #: Lanczos steps sigma_max may take before it reports non-convergence.
@@ -306,50 +308,45 @@ def aak_limit_sweep(h):
 @dataclass
 class RegularityReport:
     regular: bool
-    lhs: float          # <(I - H*H)^{-1} 1, 1> at the larger order solved
+    lhs: float          # <(I - H*H)^{-1} 1, 1> at the deciding order
     rhs: float          # 1 / D(0)^2
     sigma_max: float    # of the order-M truncation
-    converged: bool     # truncation stability between orders M and 2M
+    converged: bool     # the deciding order leaves at most REGULARITY_TOL unread
     reason: str = ""
     r_sweep: list = None
-    # the HankelOps whose r = 1 solves the test read, each with its norm and
-    # solve kept: order M, then order 2M when that solve decided, so ops[-1]
-    # is the deciding operator; none when the order-M solve was refused
+    # the HankelOps the test built, each with its norm kept: order M, then
+    # order 2M when that order decided, so ops[-1] is the deciding operator
+    # and keeps its r = 1 solve unless that solve was refused
     ops: tuple = field(default=(), repr=False, compare=False)
 
 
+def _unread(h, order):
+    """||(shat(-(order+1)), ..., shat(-(N/2-1)))||: what order `order` leaves unread."""
+    return float(np.linalg.norm(h.neg[order:]))
+
+
 def regularity_test(s, d0, M):
-    """Decide the one-to-one regime: the solve constant must match 1/D(0)^2
-    within REGULARITY_TOL.
-
-    Takes a sampled scattering function and a candidate D(0).  An order-M
-    truncation whose r = 1 solve is refused is reported as regular=False
-    rather than raised.  The decision and lhs come from order 2M when the
-    grid resolves it and that solve is not refused, otherwise from order M;
-    the gap between the two orders sets `converged`.
+    """Decide the one-to-one regime from a sampled scattering function and a
+    candidate D(0): one r = 1 solve constant must match 1/D(0)^2 within
+    REGULARITY_TOL.  It solves at order 2M when order M leaves more than
+    that norm of s's negative coefficients unread and the grid resolves 2M,
+    else at order M.  A refused solve is reported as regular=False, with an
+    r-sweep on the same operator, rather than raised.
     """
-    def lhs_at(order):
-        h = hankel_from_symbol(s, order)
-        try:
-            return float(solve_block(h)[0].real), h
-        except RegularityError:
-            return None, h
-
-    lhs, h = lhs_at(M)
+    h = hankel_from_symbol(s, M)
     sigma = h.sigma_max()
+    order = 2 * M if _unread(h, M) > REGULARITY_TOL and 2 * M <= s.grid.size // 4 else M
+    ops = (h,) if order == M else (h, hankel_from_symbol(s, order))
+    converged = _unread(h, order) <= REGULARITY_TOL
     rhs = 1.0 / (d0 * d0)
-    if lhs is None:
-        sweep, exists = aak_limit_sweep(h)
-        reason = (f"sigma_max = {sigma:.9g} too close to 1; r-sweep "
+    try:
+        lhs = float(solve_block(ops[-1])[0].real)
+    except RegularityError:
+        sweep, exists = aak_limit_sweep(ops[-1])
+        reason = (f"sigma_max = {ops[-1].sigma_max():.9g} too close to 1; r-sweep "
                   f"{'bounded' if exists else 'diverges'} at {sweep[-1]:.3g}")
-        return RegularityReport(False, float("nan"), rhs, sigma, False,
-                                reason=reason, r_sweep=sweep)
-    # decide on the larger order solved; the order-M value audits stability
-    lhs2, h2 = lhs_at(2 * M) if 2 * M <= s.grid.size // 4 else (lhs, h)
-    converged = (lhs2 is not None
-                 and abs(lhs2 - lhs) <= 10 * REGULARITY_TOL * max(abs(lhs), 1.0))
-    ops = (h,) if lhs2 is None or h2 is h else (h, h2)
-    lhs = lhs if lhs2 is None else lhs2
+        return RegularityReport(False, float("nan"), rhs, sigma, converged,
+                                reason=reason, r_sweep=sweep, ops=ops)
     gap = abs(lhs * d0 * d0 - 1.0)
     regular = gap <= REGULARITY_TOL
     reason = "" if regular else f"|lhs * D(0)^2 - 1| = {gap:.3e}"

@@ -186,7 +186,8 @@ def glm_matrix(data, m, M, check_regular=True):
 
 def glm_columns(h, m, a_minus1):
     """The m GLM columns of the square operator h of a scattering function
-    whose a_{-1} is `a_minus1`; h.order must be at least (m + 1) // 2.
+    whose a_{-1} is `a_minus1`; below order (m + 1) // 2 its vectors are
+    zero-padded, which is exact when the symbol has no coefficients past h.
 
     The r = 1 solve of h gives g and q = -conj(H g), and column n reads the
     n-th Schur step (G_n, F_n) of that pair: rows n, n+2, ... hold G_n
@@ -197,8 +198,9 @@ def glm_columns(h, m, a_minus1):
     far below the rank of the symbol's Hankel operator can give.
     """
     g = solve_block(h)
+    g, q = (np.pad(v, (0, max((m + 1) // 2 - h.order, 0))) for v in (g, -np.conj(h.apply(g))))
     out = np.zeros((m, m), dtype=np.complex128)
-    for n, (big_g, f) in enumerate(_schur_pairs(g, -np.conj(h.apply(g)), m)):
+    for n, (big_g, f) in enumerate(_schur_pairs(g, q, m)):
         if not big_g[0].real > 0.0:  # a NaN is refused too
             raise NumericalError(
                 f"GLM column {n} reads G_n[0] = {big_g[0].real:.3e}: "

@@ -15,9 +15,9 @@ in Cantero-Moral-Velazquez.
 Convention note (conjugation calibration, documented once here): the
 five-diagonal matrix is built verbatim from the user's coefficients, and
 the Laurent basis has leading coefficients 1/(rho_0...rho_{2n-1}) and
--conj(a_{-1})/(rho_0...rho_{2n}).  The inverse map reads the twisted
-coefficients -a_{-1} * conj(a_k): its kernel-ratio identity is
-ratio_n = -conj(a_{-1}) * a_n.
+-conj(a_{-1})/(rho_0...rho_{2n}).  The inverse map reads the Schur
+parameters b_n = -conj(a_{-1}) a_n of one Hankel solve, and the kernel
+ratio (scatter.KernelPair.verbk_ratio) is b_0.
 """
 
 from __future__ import annotations

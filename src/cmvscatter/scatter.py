@@ -82,9 +82,9 @@ class KernelPair:
     kinf: tuple
 
     def verbk_ratio(self):
-        """First-component ratio at the origin, conj(a_0) for the kernels of
-        a sequence (AC5).  The inverse map does not read it: it takes the
-        coefficients off one Hankel solve."""
+        """First-component ratio at the origin: -conj(a_{-1}) a_0 for the
+        kernels of a sequence, conj(a_0) on AC5's real corpus with
+        a_{-1} = -1.  The inverse map reads that b_0 off a Hankel solve."""
         return self.kinf[0].at_zero() / self.k0[0].at_zero()
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,35 @@ def phi_from_R(R, D, a_minus1, grid):
     psi_t = 2.0 * D.boundary(grid).samples / denom
     psi, _ = disk_from_boundary(psi_t, grid, kind="interior")
     return DiskFunction(coef, "interior"), psi, phi_t, psi_t
+
+
+@pytest.fixture
+def hankel_work(monkeypatch):
+    """Counters, by operator order, of the Hankel work a command or a call
+    does: the operators built, the Lanczos runs, the CG solves (an r = 1
+    call answered from the operator's kept solve is not one) and the
+    products W x."""
+    from cmvscatter import hankel, inverse
+
+    work = {kind: Counter() for kind in ("built", "lanczos", "cg", "apply")}
+    op = hankel.HankelOp
+
+    def counted(kind, method):
+        def wrapper(self, *args, **kwargs):
+            work[kind][self.order] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for kind, name in (("built", "__post_init__"), ("lanczos", "_lanczos"), ("apply", "apply")):
+        monkeypatch.setattr(op, name, counted(kind, getattr(op, name)))
+    solve = hankel.solve_block
+
+    def solve_block(h, r=1.0):
+        kept = h._g
+        x = solve(h, r)
+        work["cg"][h.order] += x is not kept
+        return x
+
+    for module in (hankel, inverse):
+        monkeypatch.setattr(module, "solve_block", solve_block)
+    return work

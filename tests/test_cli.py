@@ -3,7 +3,6 @@ import dataclasses
 import io
 import json
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -386,6 +385,18 @@ def test_grid_checked_where_a_sequence_is_read(command, a05_json, tmp_path, caps
     assert not list(tmp_path.glob("x.*"))
 
 
+def test_classify_names_the_grid_a_sequence_needs(a05_json, tmp_path, capsys):
+    # the A2 scan also reads the half grid, so classifying a sequence needs
+    # 32 nodes: --grid 16 names that requirement and the grid given, not
+    # the half grid's 8 nodes, before any output is written
+    argv = ["classify", "--input", a05_json, "--out", str(tmp_path / "x"), "--trunc", "2"]
+    assert main(argv + ["--grid", "16"]) == 2
+    err = capsys.readouterr().err
+    assert "a grid of at least 32 nodes" in err and "got 16" in err and "got 8" not in err
+    assert not list(tmp_path.glob("x.*"))
+    assert main(argv + ["--grid", "32"]) == 0
+
+
 def test_trunc_beyond_the_grid_of_a_sequence(a05_json, tmp_path, capsys):
     # a sequence runs on --grid, and the Hankel order it cannot resolve is
     # refused where the master is built, before any output is written
@@ -563,19 +574,19 @@ def test_csv_header_block_precedes_the_rows(a05_json, tmp_path, capsys, line, co
 
 def test_classify_fits_the_glm_block_to_the_truncation(a05_json, tmp_path):
     # the 16-column GLM block reads the first 16 Schur steps of the vectors
-    # of the order that decided regularity, and from step `order` on they
-    # depend on the zeros filled in past the truncation (for
-    # jacobi(0.25, 0, 2000) at order 8, G_n[0] reads 0.99988 for n = 8..15,
-    # where every true value is at least 1).  At --grid 1024 that order is
-    # 2 * --trunc up to --trunc 128, so below --trunc 8 glm_column_norm is
-    # null, not a broadcast error or a truncation artefact
-    for trunc in (1, 2, 3, 4, 5, 6, 7, 8, 15, 16):
+    # of the order that decided regularity, zero-padded to 8 entries.  The s
+    # of a05 has one negative coefficient, shat(-1) = 1/2, so every order
+    # reads all of s, decides, and pads exactly: each --trunc reports the
+    # --trunc 16 norm, not null, a broadcast error or a truncation artefact
+    norms = {}
+    for trunc in (16, 1, 2, 3, 4, 5, 6, 7, 8, 15):
         out = tmp_path / f"c{trunc}"
         assert main(["classify", "--input", a05_json, "--grid", "1024",
                      "--trunc", str(trunc), "--out", str(out)]) == 0
         rep = json.loads((tmp_path / f"c{trunc}.classify.json").read_text())
-        norm = rep["diagnostics"]["glm_column_norm"]
-        assert (norm is None) if 2 * trunc < 16 else norm > 1.0
+        norms[trunc] = rep["diagnostics"]["glm_column_norm"]
+    assert norms[16] > 1.0
+    assert all(abs(norm - norms[16]) <= 1e-14 for norm in norms.values()), norms
 
 
 def test_dotted_out_prefix_keeps_its_dots(a05_json, tmp_path):
@@ -604,57 +615,28 @@ def test_default_out_prefix_is_the_input_name(tmp_path, monkeypatch):
         "demo_nonunique.demo.json"}
 
 
-@pytest.fixture
-def hankel_work(monkeypatch):
-    """Counters, by operator order, of the Hankel work a command does: the
-    operators built, the Lanczos runs, the CG solves (an r = 1 call answered
-    from the operator's kept solve is not one) and the products W x."""
-    from cmvscatter import hankel, inverse
-
-    work = {kind: Counter() for kind in ("built", "lanczos", "cg", "apply")}
-    op = hankel.HankelOp
-
-    def counted(kind, method):
-        def wrapper(self, *args, **kwargs):
-            work[kind][self.order] += 1
-            return method(self, *args, **kwargs)
-        return wrapper
-
-    for kind, name in (("built", "__post_init__"), ("lanczos", "_lanczos"), ("apply", "apply")):
-        monkeypatch.setattr(op, name, counted(kind, getattr(op, name)))
-    solve = hankel.solve_block
-
-    def solve_block(h, r=1.0):
-        kept = h._g
-        x = solve(h, r)
-        work["cg"][h.order] += x is not kept
-        return x
-
-    for module in (hankel, inverse):
-        monkeypatch.setattr(module, "solve_block", solve_block)
-    return work
-
-
 def test_glm_and_classify_build_each_operator_once(tmp_path, hankel_work):
-    # one Lanczos run and one CG solve per order: glm's GLM columns and
-    # classify's read the solves the regularity test kept, at order M and
-    # 2M (only M when 2M > N/4); glm's dense reference builds its own
-    # order-M matrix, with neither
+    # one Lanczos run per order built and one CG solve per command: the
+    # regularity test solves only at the order it decides on, M, or 2M when
+    # order M leaves this support-5 symbol's coefficients unread (--trunc 3),
+    # and glm's and classify's GLM columns read that kept solve; glm's dense
+    # reference builds its own order-M matrix, with neither
     src = write_seq(tmp_path / "s5.json",
                     random_complex_seq(np.random.default_rng(0), 5, max_mod=0.5))
     assert main(["glm", "--input", src, "--out", str(tmp_path / "g"), "--grid", "16384",
                  "--order", "8", "--trunc", "256"]) == 0
-    assert hankel_work["lanczos"] == hankel_work["cg"] == {256: 1, 512: 1}
-    assert hankel_work["built"] == {256: 2, 512: 1}
-    for grid, trunc, orders in (("4096", 64, (64, 128)), ("1024", 256, (256,))):
+    assert hankel_work["lanczos"] == hankel_work["cg"] == {256: 1}
+    assert hankel_work["built"] == {256: 2}
+    for grid, trunc, orders in (("4096", 64, (64,)), ("1024", 256, (256,)),
+                                ("1024", 3, (3, 6))):
         for counts in hankel_work.values():
             counts.clear()
         assert main(["classify", "--input", src, "--out", str(tmp_path / "c"), "--grid", grid,
                      "--trunc", str(trunc)]) == 0
         report = json.loads((tmp_path / "c.classify.json").read_text())
         assert report["hs_member"] and report["diagnostics"]["glm_column_norm"] > 1.0
-        once = dict.fromkeys(orders, 1)
-        assert hankel_work["built"] == hankel_work["lanczos"] == hankel_work["cg"] == once
+        assert hankel_work["built"] == hankel_work["lanczos"] == dict.fromkeys(orders, 1)
+        assert hankel_work["cg"] == {orders[-1]: 1}
 
 
 def test_classify_reads_the_norm_of_a_refused_recovery(hankel_work):

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from cmvscatter import (
     CircleFunction,
+    CircleGrid,
     DiskFunction,
     HankelOp,
+    NumericalError,
     RegularityError,
     VerblunskySeq,
     forward_scatter,
@@ -16,7 +18,7 @@ from cmvscatter import (
     solve_block,
 )
 from cmvscatter.circle import disk_from_boundary
-from cmvscatter.hankel import aak_boundary
+from cmvscatter.hankel import REGULARITY_TOL, aak_boundary
 
 from conftest import phi_from_R, random_complex_seq, schur_pairs
 
@@ -89,8 +91,6 @@ def test_shift_identity_exact(grid):
 
 
 def test_insufficient_coefficients_rejected():
-    from cmvscatter import CircleGrid
-
     g = CircleGrid(64)
     s = CircleFunction.constant(g, 1.0)
     with pytest.raises(ValueError):
@@ -366,7 +366,6 @@ def test_shifted_cg_near_singular_matches_dense():
     # steps of the M = 512 solve with sigma_max = 1 - 4e-7, condition about
     # 1e6, against dense solves of the trailing Gram blocks of the wide
     # master, with e0 (G_n) and with conj(W[0, n:]) (-F_n)
-    from cmvscatter import CircleGrid
     from cmvscatter.classify import jacobi_verblunsky
 
     s = _symbol(CircleGrid(16384), jacobi_verblunsky(2.0, 0.0, 400))
@@ -419,7 +418,6 @@ def test_hankel_norm_deterministic(grid4096):
 
 
 def test_hankel_norm_refuses_unconverged(grid4096, monkeypatch):
-    from cmvscatter import NumericalError
     from cmvscatter import hankel
 
     rng = np.random.default_rng(46)
@@ -466,7 +464,6 @@ def test_solve_block_near_singular_matches_dense(grid4096):
 
 
 def test_solve_block_refuses_indefinite_system():
-    from cmvscatter import NumericalError
     from cmvscatter.hankel import HankelOp
 
     neg = np.zeros(64, dtype=complex)
@@ -479,7 +476,6 @@ def test_cg_refuses_an_unconverged_residual():
     # K stands for both W and W^T, which is no adjoint pair when K is not
     # symmetric: the recurrence residual vanishes in 3 steps but the true
     # residual of the non-Hermitian system does not, and the gate refuses
-    from cmvscatter import NumericalError
     from cmvscatter.hankel import HankelOp
 
     k = 0.3 * np.random.default_rng(52).normal(size=(3, 3))
@@ -493,7 +489,6 @@ def test_cg_refuses_an_unconverged_residual():
 @pytest.fixture(scope="module")
 def long_jacobi():
     """The Helson-Szego weight |t-1|^{1/2}, truncated at support 2000."""
-    from cmvscatter import CircleGrid
     from cmvscatter.classify import jacobi_verblunsky
 
     seq = jacobi_verblunsky(0.25, 0.0, 2000)
@@ -528,6 +523,81 @@ def test_regularity_decides_on_the_larger_order(long_jacobi):
     # 2048, past the support; the order-128 block it read before sat 3.6e-3
     # below this, at 1.076231964059212
     assert abs(rep.diagnostics["glm_column_norm"] - 1.0798565702820684) <= 1e-9
+
+
+def test_regularity_solves_once_per_decision(grid4096, corpus, long_jacobi, hankel_work):
+    # one CG solve per decision: each AC corpus symbol has all of its
+    # negative coefficients inside order 256, so nothing is built at 512;
+    # jacobi(0.25, 0, 2000) at M = 1024 leaves 5.4e-3 of them unread and
+    # decides at order 2048 alone, after the norm of order 1024
+    for seq in corpus:
+        data = forward_scatter(seq, grid4096)
+        hankel_work["cg"].clear()
+        assert regularity_test(s=data.s, d0=data.d0, M=256).regular
+        assert hankel_work["cg"] == {256: 1}
+    data = long_jacobi[1]
+    for counts in hankel_work.values():
+        counts.clear()
+    rep = regularity_test(s=data.s, d0=data.d0, M=1024)
+    assert rep.regular and [op.order for op in rep.ops] == [1024, 2048]
+    assert hankel_work["built"] == hankel_work["lanczos"] == {1024: 1, 2048: 1}
+    assert hankel_work["cg"] == {2048: 1}
+
+
+def _unread_norm(s, order):
+    """||(shat(-(order+1)), ..., shat(-(N/2-1)))||, from s's coefficients."""
+    n = s.grid.size
+    return np.linalg.norm(s.coeffs()[n // 2 + 1: n - order])
+
+
+def test_converged_reads_what_the_deciding_order_leaves_unread(long_jacobi):
+    # at M = 256 and 512 the deciding order 2M leaves 9.4e-3 and 5.4e-3 of
+    # s's negative coefficients unread: not converged, although the
+    # constants of orders M and 2M differ by only 9.2e-4 and 7.0e-4
+    # relative; order 2048 leaves 4.2e-8 and meets 1/D(0)^2 to 7e-15
+    data = long_jacobi[1]
+    for M, unread, converged in ((256, 9.4e-3, False), (512, 5.4e-3, False),
+                                 (1024, 4.2e-8, True)):
+        rep = regularity_test(s=data.s, d0=data.d0, M=M)
+        assert rep.ops[-1].order == 2 * M
+        assert abs(_unread_norm(data.s, 2 * M) / unread - 1.0) < 0.02
+        assert rep.converged is converged and rep.regular is converged
+
+
+def _two_solve_regular(s, d0, M):
+    """The reference verdict from r = 1 solves at orders M and 2M: order 2M
+    decides when the grid resolves it and its solve is not refused, order M
+    otherwise, and a refused order-M solve is not regular."""
+    def lhs_at(order):
+        try:
+            return float(solve_block(hankel_from_symbol(s, order))[0].real)
+        except RegularityError:
+            return None
+
+    lhs = lhs_at(M)
+    if lhs is not None and 2 * M <= s.grid.size // 4:
+        lhs2 = lhs_at(2 * M)
+        lhs = lhs if lhs2 is None else lhs2
+    return lhs is not None and abs(lhs * d0 * d0 - 1.0) <= REGULARITY_TOL
+
+
+@settings(derandomize=True, database=None, max_examples=360, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), support=st.integers(0, 20),
+       n=st.sampled_from([1024, 4096]),
+       M=st.one_of(st.integers(1, 24), st.integers(1, 256)))
+def test_one_solve_verdict_matches_two_solves(seed, support, n, M):
+    # complex draws with |a_k| <= 0.95: the decision at the one order the
+    # unread norm picks is the verdict of solves at orders M and 2M.  A
+    # NumericalError is no verdict, and the two sides run different solves,
+    # so it is compared only when neither side raises one
+    seq = random_complex_seq(np.random.default_rng(seed), support, max_mod=0.95)
+    data = forward_scatter(seq, CircleGrid(n))
+    try:
+        regular = regularity_test(s=data.s, d0=data.d0, M=M).regular
+        reference = _two_solve_regular(data.s, data.d0, M)
+    except NumericalError:
+        return
+    assert regular == reference
 
 
 def test_glm_reads_the_square_truncation(long_jacobi):
@@ -575,7 +645,8 @@ def test_point_evaluation_forms_no_matrix(grid, monkeypatch):
     regularity_test(s=s, d0=forward_scatter(random_complex_seq(rng, 4), grid).d0, M=64)
     nonregular = regularity_test(s=CircleFunction(grid, 1.0 / grid.nodes), d0=1.0, M=64)
     assert nonregular.r_sweep is not None
-    assert len(built) == 3 and all(op._mat is None for op in built)
+    # one operator each: both orders read all of s, so neither builds order 2M
+    assert len(built) == 2 and all(op._mat is None for op in built)
 
 
 def _dense_det(h):
